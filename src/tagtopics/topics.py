@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ DEFAULT_ITERATIONS = 2000
 DEFAULT_UNSEEDED = 2
 
 _FORMAT = "tagtopics-lda"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # version 1 also stored n_dt, n_tw and n_t
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,28 @@ class SeededLdaModel:
     seed_word_ids: tuple[tuple[int, ...], ...]  # per seeded topic, sorted
     doc_words: tuple[np.ndarray, ...]  # per doc, word ids (int32)
     assignments: tuple[np.ndarray, ...]  # per doc, topic of each token (int32)
-    n_dt: np.ndarray = field(repr=False)  # (D, K) int64
-    n_tw: np.ndarray = field(repr=False)  # (V, K) int64
-    n_t: np.ndarray = field(repr=False)  # (K,) int64
+    # counted from doc_words and assignments; the sampler updates them in place
+    n_dt: np.ndarray = field(init=False, repr=False)  # (D, K) int64
+    n_tw: np.ndarray = field(init=False, repr=False)  # (V, K) int64
+    n_t: np.ndarray = field(init=False, repr=False)  # (K,) int64
+
+    def __post_init__(self) -> None:
+        """Check the model's facts and count its tables from them; raises
+        ValueError naming the first malformed fact."""
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be non-negative and finite")
+        if self.iterations < 0 or self.num_unseeded < 0:
+            raise ValueError("iterations and num_unseeded must be non-negative")
+        if len(set(self.doc_ids)) != len(self.doc_ids):
+            raise ValueError("doc_ids holds a duplicate id")
+        if len(self.seed_word_ids) != self.num_seeded:
+            raise ValueError("seed_word_ids needs exactly one list per category")
+        for ids in self.seed_word_ids:
+            if list(ids) != sorted(set(ids)) or not all(0 <= w < self.vocab_size for w in ids):
+                raise ValueError("seed ids must be sorted, distinct and in [0, V)")
+        self.n_dt, self.n_tw, self.n_t = self._count_tables()
 
     @property
     def num_seeded(self) -> int:
@@ -111,24 +132,34 @@ class SeededLdaModel:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
+    def _count_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, counted from
+        doc_words and assignments: the only code that builds count tables.
+        Raises ValueError if there are no documents, doc_ids, doc_words and
+        assignments disagree in length, or an id is outside [0, V) or [0, K),
+        where bincount would count it into another cell."""
+        lengths = [len(w) for w in self.doc_words]
+        if (not lengths or len(self.doc_ids) != len(lengths)
+                or [len(z) for z in self.assignments] != lengths):
+            raise ValueError("doc_ids, doc_words and assignments disagree in length")
+        words = np.concatenate(self.doc_words)
+        topics = np.concatenate(self.assignments)
+        d, v, k = len(lengths), self.vocab_size, self.num_topics
+        for name, ids, bound in (("word", words, v), ("topic", topics, k)):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                raise ValueError(f"{name} id outside [0, {bound})")
+        docs = np.repeat(np.arange(d, dtype=np.int64), lengths)
+        n_dt = np.bincount(docs * k + topics, minlength=d * k).reshape(d, k)
+        n_tw = np.bincount(words.astype(np.int64) * k + topics, minlength=v * k)
+        return n_dt, n_tw.reshape(v, k), np.bincount(topics, minlength=k)
+
     def check_counts(self) -> None:
-        """Verify the bookkeeping invariants; raises AssertionError on any
-        violation. Cheap enough to run after every sweep on small corpora."""
-        if (self.n_dt < 0).any() or (self.n_tw < 0).any() or (self.n_t < 0).any():
-            raise AssertionError("negative count")
-        doc_lens = np.array([len(w) for w in self.doc_words], dtype=np.int64)
-        if not (self.n_dt.sum(axis=1) == doc_lens).all():
-            raise AssertionError("document-topic rows do not sum to document lengths")
-        if not (self.n_tw.sum(axis=0) == self.n_t).all():
-            raise AssertionError("word-topic columns do not sum to topic totals")
-        if self.n_t.sum() != int(doc_lens.sum()):
-            raise AssertionError("topic totals do not sum to corpus token count")
-        for d, (words, z) in enumerate(zip(self.doc_words, self.assignments)):
-            counts = np.bincount(z, minlength=self.num_topics)
-            if not (counts == self.n_dt[d]).all():
-                raise AssertionError(f"assignments of doc {d} disagree with n_dt")
-            if len(words) != len(z):
-                raise AssertionError(f"doc {d} word/assignment length mismatch")
+        """Verify that n_dt, n_tw and n_t, which the sampler updates in
+        place, still equal the tables counted from the assignments. Raises
+        AssertionError if one does not, ValueError if ids or lengths are bad."""
+        for name, table in zip(("n_dt", "n_tw", "n_t"), self._count_tables()):
+            if not np.array_equal(getattr(self, name), table):
+                raise AssertionError(f"{name} disagrees with the assignments")
 
     def word_prior(self) -> tuple[np.ndarray, np.ndarray]:
         """B and Bsum: B[w, t] = beta + mu if w seeds topic t else beta;
@@ -168,22 +199,14 @@ def train(
     mu: float = DEFAULT_MU,
     iterations: int = DEFAULT_ITERATIONS,
     rng_seed: int = 0,
-    check_every_sweep: bool = False,
 ) -> SeededLdaModel:
     """Run collapsed Gibbs sampling and return the trained model.
 
     Empty documents are dropped (and recorded on the model); seed words
-    missing from the corpus vocabulary are warned about and ignored. Counts
-    are verified after initialization and after the final sweep; with
-    `check_every_sweep` they are verified after every sweep.
+    missing from the corpus vocabulary are warned about and ignored. Bad
+    hyperparameters raise ValueError. The count tables are verified against
+    the assignments after the final sweep.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-
     kept = [d for d in docs if d.tokens]
     dropped = tuple(d.tweet_id for d in docs if not d.tokens)
     if dropped:
@@ -216,14 +239,16 @@ def train(
         for w in ids:
             seeded_by.setdefault(w, []).append(t)
 
-    doc_words = tuple(
-        np.array([vocab_index[t] for t in doc.tokens], dtype=np.int32) for doc in kept
-    )
+    # one flat array of word ids and one of topics, which the kernel updates;
+    # the model's per-document arrays are views of them
+    lengths = [len(doc.tokens) for doc in kept]
+    word_of = np.fromiter((vocab_index[t] for d in kept for t in d.tokens),
+                          dtype=np.int32, count=sum(lengths))
+    z_flat = np.empty(len(word_of), dtype=np.int32)
+    doc_words, assignments = _per_doc(word_of, lengths), _per_doc(z_flat, lengths)
     rng = np.random.default_rng(rng_seed)
 
-    assignments: list[np.ndarray] = []
-    for words in doc_words:
-        z = np.empty(len(words), dtype=np.int32)
+    for words, z in zip(doc_words, assignments):
         for i, w in enumerate(words):
             owners = seeded_by.get(int(w))
             if owners is None:
@@ -232,17 +257,6 @@ def train(
                 z[i] = owners[0]
             else:
                 z[i] = owners[int(rng.integers(len(owners)))]
-        assignments.append(z)
-
-    v, d_count = len(vocabulary), len(kept)
-    n_dt = np.zeros((d_count, k), dtype=np.int64)
-    n_tw = np.zeros((v, k), dtype=np.int64)
-    n_t = np.zeros(k, dtype=np.int64)
-    for d, (words, z) in enumerate(zip(doc_words, assignments)):
-        for w, t in zip(words, z):
-            n_dt[d, t] += 1
-            n_tw[w, t] += 1
-            n_t[t] += 1
 
     model = SeededLdaModel(
         vocabulary=vocabulary,
@@ -257,39 +271,23 @@ def train(
         rng_seed=rng_seed,
         seed_word_ids=tuple(seed_word_ids),
         doc_words=doc_words,
-        assignments=tuple(assignments),
-        n_dt=n_dt,
-        n_tw=n_tw,
-        n_t=n_t,
+        assignments=assignments,
     )
-    model.check_counts()
 
     word_prior, prior_total = model.word_prior()
-    doc_of = np.concatenate(
-        [np.full(len(w), d, dtype=np.int32) for d, w in enumerate(doc_words)]
-    ) if doc_words else np.empty(0, dtype=np.int32)
-    word_of = np.concatenate(doc_words)
-    z_flat = np.concatenate(assignments)
-    n_tokens = len(z_flat)
-
+    doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
     for _ in range(iterations):
-        u = rng.random(n_tokens)
-        run_sweep(z_flat, doc_of, word_of, n_dt, n_tw, n_t,
+        u = rng.random(len(z_flat))
+        run_sweep(z_flat, doc_of, word_of, model.n_dt, model.n_tw, model.n_t,
                   word_prior, prior_total, alpha, u)
-        if check_every_sweep:
-            _scatter_assignments(model, z_flat)
-            model.check_counts()
 
-    _scatter_assignments(model, z_flat)
     model.check_counts()
     return model
 
 
-def _scatter_assignments(model: SeededLdaModel, z_flat: np.ndarray) -> None:
-    offset = 0
-    for z in model.assignments:
-        z[:] = z_flat[offset:offset + len(z)]
-        offset += len(z)
+def _per_doc(flat: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Consecutive views of `flat`, one per document of the given length."""
+    return tuple(flat[a:b] for a, b in pairwise([0, *accumulate(lengths)]))
 
 
 def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
@@ -486,14 +484,10 @@ def derive_gold(
 
 
 def save_model(model: SeededLdaModel, path) -> None:
-    """Write the model as deterministic JSON: hyperparameters, vocabulary,
-    seed ids, per-document word ids and assignments, and all count tables
-    (the word-topic table in sparse [word, topic, count] triples)."""
-    n_tw_sparse = [
-        [int(w), int(t), int(c)]
-        for (w, t), c in np.ndenumerate(model.n_tw)
-        if c > 0
-    ]
+    """Write the model as deterministic JSON (format version 2):
+    hyperparameters, vocabulary, seed ids, document ids, and per-document
+    word ids and topic assignments. The count tables are not stored:
+    :func:`load_model` counts them from the assignments."""
     payload = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
@@ -510,18 +504,39 @@ def save_model(model: SeededLdaModel, path) -> None:
         "dropped_doc_ids": list(model.dropped_doc_ids),
         "doc_words": [w.tolist() for w in model.doc_words],
         "assignments": [z.tolist() for z in model.assignments],
-        "n_dt": model.n_dt.tolist(),
-        "n_tw": n_tw_sparse,
-        "n_t": model.n_t.tolist(),
     }
+    text = json.dumps(payload, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.writelines((text, "\n"))
+
+
+def _field(payload: dict, key: str, kinds: tuple[type, ...], item: type | None = None):
+    """payload[key], whose type must be exactly one of `kinds` (so JSON true
+    is no int), and a list's items exactly of type `item`."""
+    value = payload[key]
+    if type(value) not in kinds or (item and not set(map(type, value)) <= {item}):
+        raise TypeError(f"{key} has the wrong type")
+    return value
+
+
+def _id_lists(payload: dict, key: str) -> tuple[np.ndarray, ...]:
+    """payload[key], a list of integer lists, as int32 views of one flat
+    array. Ids beyond 32 bits are rejected rather than wrapped."""
+    lists = _field(payload, key, (list,), list)
+    flat = list(chain.from_iterable(lists))
+    if not set(map(type, flat)) <= {int}:
+        raise TypeError(f"{key} holds an id that is not an integer")
+    if flat and (min(flat) < -2**31 or max(flat) >= 2**31):
+        raise ValueError(f"{key} holds an id beyond 32 bits")
+    return _per_doc(np.array(flat, dtype=np.int32), [len(x) for x in lists])
 
 
 def load_model(path) -> SeededLdaModel:
-    """Read a model written by :func:`save_model`, verifying format and count
-    consistency."""
+    """Read a model written by :func:`save_model`. Every field is
+    type-checked; the model then checks its ids and hyperparameters as it
+    does for :func:`train` and counts its tables from the assignments.
+    Version 1 files, which also stored the count tables, load only if those
+    equal the counted ones. Any malformed payload raises DataError."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -529,42 +544,26 @@ def load_model(path) -> SeededLdaModel:
             raise DataError(f"{path}: invalid model JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
-    if payload.get("version") != _FORMAT_VERSION:
+    if payload.get("version") not in (1, _FORMAT_VERSION):
         raise DataError(f"{path}: unsupported model version {payload.get('version')!r}")
     try:
-        k = len(payload["categories"]) + payload["num_unseeded"]
-        v = len(payload["vocabulary"])
-        n_tw = np.zeros((v, k), dtype=np.int64)
-        for w, t, c in payload["n_tw"]:
-            n_tw[w, t] = c
-        model = SeededLdaModel(
-            vocabulary=tuple(payload["vocabulary"]),
-            doc_ids=tuple(payload["doc_ids"]),
-            dropped_doc_ids=tuple(payload["dropped_doc_ids"]),
-            categories=tuple(payload["categories"]),
-            num_unseeded=int(payload["num_unseeded"]),
-            alpha=float(payload["alpha"]),
-            beta=float(payload["beta"]),
-            mu=float(payload["mu"]),
-            iterations=int(payload["iterations"]),
-            rng_seed=int(payload["rng_seed"]),
-            seed_word_ids=tuple(tuple(ids) for ids in payload["seed_word_ids"]),
-            doc_words=tuple(
-                np.array(w, dtype=np.int32) for w in payload["doc_words"]
-            ),
-            assignments=tuple(
-                np.array(z, dtype=np.int32) for z in payload["assignments"]
-            ),
-            n_dt=np.array(payload["n_dt"], dtype=np.int64).reshape(
-                len(payload["doc_ids"]), k
-            ),
-            n_tw=n_tw,
-            n_t=np.array(payload["n_t"], dtype=np.int64),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        fields = {key: tuple(_field(payload, key, (list,), str))
+                  for key in ("vocabulary", "doc_ids", "dropped_doc_ids", "categories")}
+        fields.update((key, _field(payload, key, (int,)))
+                      for key in ("num_unseeded", "iterations", "rng_seed"))
+        fields.update((key, float(_field(payload, key, (int, float))))
+                      for key in ("alpha", "beta", "mu"))
+        fields.update((key, _id_lists(payload, key)) for key in ("doc_words", "assignments"))
+        seeds = _id_lists(payload, "seed_word_ids")
+        model = SeededLdaModel(**fields, seed_word_ids=tuple(tuple(x.tolist()) for x in seeds))
+        if payload["version"] == 1:  # n_tw was stored as sparse [word, topic, count]
+            cells = np.argwhere(model.n_tw)
+            stored = {"n_dt": model.n_dt.tolist(), "n_t": model.n_t.tolist(),
+                      "n_tw": np.column_stack([cells, model.n_tw[tuple(cells.T)]]).tolist()}
+            if any(payload.get(key) != table for key, table in stored.items()):
+                raise ValueError("stored count tables disagree with the assignments")
+    except KeyError as exc:
+        raise DataError(f"{path}: model payload lacks {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model payload: {exc}") from exc
-    try:
-        model.check_counts()
-    except AssertionError as exc:
-        raise DataError(f"{path}: inconsistent model counts: {exc}") from exc
     return model

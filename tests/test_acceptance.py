@@ -133,8 +133,11 @@ def test_criterion_02_gibbs_conditionals():
             for i in range(50)
         ]
         spec = SeedSpec.from_mapping({"A": ["v0"], "B": ["v1"]}, unseeded=1)
-        # any bookkeeping drift raises inside train
-        model = train(docs, spec, iterations=10, rng_seed=9, check_every_sweep=True)
+        # train checks its counts after the final sweep, and an n-sweep run
+        # ends where a longer run is after sweep n: any bookkeeping drift in
+        # the first 10 sweeps raises inside train
+        for sweeps in range(11):
+            model = train(docs, spec, iterations=sweeps, rng_seed=9)
 
         prior, prior_total = model.word_prior()
         for d in (0, 17, 49):

@@ -325,6 +325,21 @@ class TestExitCodes:
         ) == 2
         capsys.readouterr()
 
+    def test_classify_with_bad_topic_id_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path)
+        seed = ["--seed-file", str(DATA / "seeds.json")]
+        assert run("topics-train", *BASE, *seed, "--iters", "2", "--out", out) == 0
+        path = tmp_path / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["assignments"][0][0] = 99
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run("topics-classify", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "topic id" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "assignments.csv").exists()
+
     def test_report_without_artifacts_exits_2(self, tmp_path, capsys):
         assert run("report", "--out", str(tmp_path / "empty")) == 2
         assert "no artifacts" in capsys.readouterr().err

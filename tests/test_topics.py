@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagtopics import _gibbs
 from tagtopics._gibbs import run_sweep
@@ -333,7 +335,8 @@ class TestTrain:
     def test_invariants_hold_and_checked(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"]}, unseeded=2)
-        model = train(docs, spec, iterations=10, rng_seed=3, check_every_sweep=True)
+        for sweeps in range(11):  # train checks its counts after the last sweep
+            model = train(docs, spec, iterations=sweeps, rng_seed=3)
         model.check_counts()
         total_tokens = sum(len(w) for w in model.doc_words)
         assert int(model.n_t.sum()) == total_tokens
@@ -441,9 +444,6 @@ def make_model(n_dt_rows, categories, num_unseeded):
     assignments = tuple(
         np.repeat(np.arange(k, dtype=np.int32), row) for row in n_dt
     )
-    n_tw = np.zeros((1, k), dtype=np.int64)
-    for row in n_dt:
-        n_tw[0] += row
     return SeededLdaModel(
         vocabulary=("w",),
         doc_ids=tuple(f"d{i}" for i in range(d)),
@@ -458,9 +458,6 @@ def make_model(n_dt_rows, categories, num_unseeded):
         seed_word_ids=tuple(() for _ in categories),
         doc_words=doc_words,
         assignments=assignments,
-        n_dt=n_dt,
-        n_tw=n_tw,
-        n_t=n_tw[0].copy(),
     )
 
 
@@ -654,22 +651,186 @@ class TestSaveLoad:
         with pytest.raises(DataError):
             load_model(path)
 
-    def test_tampered_counts_rejected(self, tmp_path):
+    def saved_payload(self, tmp_path):
         model = self.trained()
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return model, path, json.loads(path.read_text(encoding="utf-8"))
+
+    def test_counts_not_stored(self, tmp_path):
+        _, _, payload = self.saved_payload(tmp_path)
+        assert payload["version"] == 2
+        assert not {"n_dt", "n_tw", "n_t"} & payload.keys()
+
+    def test_version_1_file_loads(self, tmp_path):
+        model, path, payload = self.saved_payload(tmp_path)
+        write_json(path, as_version_1(payload, model.n_dt, model.n_tw, model.n_t))
+        loaded = load_model(path)
+        for name in ("n_dt", "n_tw", "n_t"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        for a, b in zip(loaded.assignments, model.assignments):
+            np.testing.assert_array_equal(a, b)
+        assert classify_all(loaded, np.random.default_rng(3)) == classify_all(
+            model, np.random.default_rng(3)
+        )
+        save_model(loaded, tmp_path / "v2.json")
+        assert (tmp_path / "v2.json").read_bytes() == (
+            json.dumps(payload, separators=(",", ":")) + "\n"
+        ).encode()
+
+    def test_version_1_moved_word_count_rejected(self, tmp_path):
+        # a count moved between two words of one topic keeps every row and
+        # column sum of n_dt, n_tw and n_t intact
+        model, path, payload = self.saved_payload(tmp_path)
+        n_tw = model.n_tw.copy()
+        t = int(np.argmax((n_tw > 0).sum(axis=0)))
+        w_from, w_to = np.flatnonzero(n_tw[:, t])[:2]
+        n_tw[w_from, t] -= 1
+        n_tw[w_to, t] += 1
+        write_json(path, as_version_1(payload, model.n_dt, n_tw, model.n_t))
+        with pytest.raises(DataError, match="disagree"):
+            load_model(path)
+
+    def test_tampered_counts_rejected(self, tmp_path):
+        model, path, payload = self.saved_payload(tmp_path)
+        payload = as_version_1(payload, model.n_dt, model.n_tw, model.n_t)
         payload["n_t"][0] += 1
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        write_json(path, payload)
         with pytest.raises(DataError):
             load_model(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        model = self.trained()
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        model, path, payload = self.saved_payload(tmp_path)
+        payload = as_version_1(payload, model.n_dt, model.n_tw, model.n_t)
         del payload["n_dt"]
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        write_json(path, payload)
         with pytest.raises(DataError):
             load_model(path)
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def as_version_1(payload, n_dt, n_tw, n_t):
+    """The payload as format version 1 stored it: the same keys plus the
+    count tables, n_tw as [word, topic, count] triples of its nonzero cells."""
+    return {
+        **payload,
+        "version": 1,
+        "n_dt": n_dt.tolist(),
+        "n_tw": [[int(w), int(t), int(c)]
+                 for (w, t), c in np.ndenumerate(n_tw) if c > 0],
+        "n_t": n_t.tolist(),
+    }
+
+
+def _token(data, payload, key):
+    """A random (document list, position) of payload[key]."""
+    doc = data.draw(st.sampled_from(payload[key]))
+    return doc, data.draw(st.integers(0, len(doc) - 1))
+
+
+def _set_token(key, values):
+    def corrupt(payload, data):
+        doc, i = _token(data, payload, key)
+        doc[i] = data.draw(values(payload))
+    return corrupt
+
+
+def _pop_token(payload, data):
+    doc, i = _token(data, payload, "assignments")
+    doc.pop(i)
+
+
+def _duplicate_doc_id(payload, data):
+    ids = payload["doc_ids"]
+    i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2,
+                              max_size=2, unique=True))
+    ids[i] = ids[j]
+
+
+def _bad_seed(payload, data):
+    v = len(payload["vocabulary"])
+    t = data.draw(st.integers(0, len(payload["seed_word_ids"]) - 1))
+    bad = data.draw(st.integers(max_value=-1) | st.integers(min_value=v))
+    payload["seed_word_ids"][t] = [bad]
+
+
+def _seed_list_count(payload, data):
+    if data.draw(st.booleans()):
+        payload["seed_word_ids"].append([])
+    else:
+        payload["seed_word_ids"].pop()
+
+
+def _set(key, values):
+    def corrupt(payload, data):
+        payload[key] = data.draw(values)
+    return corrupt
+
+
+def _drop_key(payload, data):
+    del payload[data.draw(st.sampled_from(sorted(payload)))]
+
+
+NON_INTEGERS = (st.floats() | st.text(max_size=3) | st.none() | st.booleans()
+                | st.lists(st.integers(), max_size=2))
+
+
+def _non_integer(payload, data):
+    key = data.draw(st.sampled_from(
+        ["doc_words", "assignments", "seed_word_ids",
+         "iterations", "num_unseeded", "rng_seed"]))
+    if key in ("iterations", "num_unseeded", "rng_seed"):
+        payload[key] = data.draw(NON_INTEGERS)
+    else:
+        doc, i = _token(data, payload, key)
+        doc[i] = data.draw(NON_INTEGERS)
+
+
+def _num_topics(payload):
+    return len(payload["categories"]) + payload["num_unseeded"]
+
+
+CORRUPTIONS = {
+    "doc_ids shorter": lambda payload, data: payload["doc_ids"].pop(),
+    "doc_words shorter": lambda payload, data: payload["doc_words"].pop(),
+    "assignments shorter in one document": _pop_token,
+    "duplicate doc id": _duplicate_doc_id,
+    "word id >= V": _set_token(
+        "doc_words", lambda p: st.integers(min_value=len(p["vocabulary"]))),
+    "word id < 0": _set_token("doc_words", lambda p: st.integers(max_value=-1)),
+    "topic id >= K": _set_token(
+        "assignments", lambda p: st.integers(min_value=_num_topics(p))),
+    "topic id < 0": _set_token("assignments", lambda p: st.integers(max_value=-1)),
+    "seed id outside vocabulary": _bad_seed,
+    "seed list count": _seed_list_count,
+    "alpha <= 0": _set("alpha", st.floats(max_value=0.0) | st.integers(max_value=0)),
+    "beta <= 0": _set("beta", st.floats(max_value=0.0) | st.integers(max_value=0)),
+    "mu < 0": _set("mu", st.floats(max_value=0.0, exclude_max=True)),
+    "iterations < 0": _set("iterations", st.integers(max_value=-1)),
+    "key dropped": _drop_key,
+    "non-integer entry": _non_integer,
+}
+
+
+@pytest.fixture(scope="module")
+def payload_text(tmp_path_factory):
+    spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(train(small_corpus(), spec, iterations=5, rng_seed=8), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CORRUPTIONS)), data=st.data())
+def test_corrupted_payload_raises_data_error(payload_text, tmp_path_factory,
+                                             name, data):
+    payload = json.loads(payload_text)
+    CORRUPTIONS[name](payload, data)
+    # a fresh file each time: truncating one that holds data can stall on ext4
+    path = tmp_path_factory.mktemp("corrupted") / "model.json"
+    write_json(path, payload)
+    with pytest.raises(DataError):
+        load_model(path)
