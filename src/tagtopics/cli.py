@@ -3,9 +3,15 @@
 One subcommand per analysis stage, all writing deterministic artifacts into
 the output directory: trends.csv, words.csv, bigrams.csv, sentiment.csv,
 verbs.csv, pairs.csv, model.json, assignments.csv, report.json, summary.json.
-Options come from built-in defaults, then a JSON config file (--config), then
-explicit flags, later layers winning. Exit codes: 0 success, 1 usage error,
-2 data error.
+
+Every option is one `RunConfig` field. Its flag is the dashed field name
+(`--rng-seed` sets `rng_seed`; `--verb`, repeatable, sets `verbs`) and its
+config-file key is the field name. Values come from the field defaults, then
+a JSON config file (--config), then explicit flags, later layers winning;
+every subcommand accepts every option. Flag and config values pass the same
+checks (type, choices, lower bound, finite floats), and a value that fails
+them stops the run before any input is read. Exit codes: 0 success, 1 usage
+error, 2 data error.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +44,7 @@ DEFAULT_RNG_SEED = 12345
 
 
 class UsageError(Exception):
-    """Bad invocation (unknown flag, malformed config). Exit code 1."""
+    """Bad invocation (unknown flag, malformed config, bad value). Exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,33 +55,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _option(default, help: str, **checks):
+    """A RunConfig field: its default, its --help text and, in `checks`, any
+    of `choices`, a lower bound `gt` or `ge`, and a `flag` or `metavar`
+    spelled other than from the field name."""
+    return field(default=default, metadata={"help": help, **checks})
+
+
 @dataclass
 class RunConfig:
-    """Every knob the subcommands read. Field names double as config-file
-    keys and (dashed) flag names."""
+    """Every knob the subcommands read, each declared once: the field name is
+    the config-file key, its dashed form (or metadata `flag`) the flag, the
+    annotation the value type, the metadata the help text and value checks.
+    Construction checks every value; a bad one raises UsageError."""
 
-    corpus: str | None = None
-    format: str = "jsonl"
-    taxonomy: str | None = None
-    stopwords: str | None = None  # None selects the packaged list
-    exclusions: str | None = None
-    lexicon: str | None = None  # None selects the packaged valence lexicon
-    parses: str | None = None
-    scores: str | None = None
-    seed_file: str | None = None
-    predictions: str | None = None
-    out: str = "out"
-    stem: bool = True
-    alpha: float = topics_mod.DEFAULT_ALPHA
-    beta: float = topics_mod.DEFAULT_BETA
-    mu: float = topics_mod.DEFAULT_MU
-    iters: int = topics_mod.DEFAULT_ITERATIONS
-    unseeded: int = topics_mod.DEFAULT_UNSEEDED
-    rng_seed: int = DEFAULT_RNG_SEED
-    top_n: int = 10
-    min_count: int = 5
-    min_groups: int = 2
-    gold_policy: str = "rarest"
+    corpus: str | None = _option(None, "tweet corpus file")
+    format: str = _option("jsonl", "corpus format", choices=("jsonl", "csv"))
+    taxonomy: str | None = _option(None, "category taxonomy JSON")
+    stopwords: str | None = _option(None, "stopword list file (default: packaged list)")
+    exclusions: str | None = _option(None, "extra echo-filter terms, one per line")
+    lexicon: str | None = _option(None, "valence lexicon CSV (default: packaged lexicon)")
+    parses: str | None = _option(None, "dependency parses file")
+    scores: str | None = _option(None, "external sentiment scores (JSON lines)")
+    seed_file: str | None = _option(None, "topic seed words JSON")
+    predictions: str | None = _option(None, "assignments CSV to evaluate")
+    out: str = _option("out", "output directory")
+    stem: bool = _option(True, "Porter-stem normalized tokens")
+    alpha: float = _option(topics_mod.DEFAULT_ALPHA, "document-topic prior", gt=0)
+    beta: float = _option(topics_mod.DEFAULT_BETA, "topic-word prior", gt=0)
+    mu: float = _option(topics_mod.DEFAULT_MU, "extra prior mass on seed words", ge=0)
+    iters: int = _option(topics_mod.DEFAULT_ITERATIONS, "Gibbs sweeps", ge=0)
+    unseeded: int = _option(topics_mod.DEFAULT_UNSEEDED, "number of unseeded topics", ge=0)
+    rng_seed: int = _option(DEFAULT_RNG_SEED, "RNG seed", ge=0)
+    top_n: int = _option(10, "rows per ranking", ge=0)
+    min_count: int = _option(5, "minimum bigram count", ge=0)
+    min_groups: int = _option(2, "groups needed for a common word", ge=2)
+    gold_policy: str = _option("rarest", "multi-category gold label policy",
+                               choices=("rarest", "priority", "exclude_multi"))
+    verbs: list[str] | None = _option(None, "verb lemma to profile (repeatable)",
+                                      flag="--verb", metavar="LEMMA")
+    rel_scheme: str = _option("default", "dependency relation scheme",
+                              choices=("default", "ud"))
+    subtree: bool = _option(False, "collect nouns from the whole verb subtree")
+
+    def __post_init__(self):
+        for f in fields(self):
+            problem = _problem(f, getattr(self, f.name))
+            if problem:
+                raise UsageError(f"{_flag(f)} (config key {f.name}) {problem}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -87,85 +116,76 @@ class RunConfig:
         return cls(**data)
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    return data
+def _resolve(hint) -> tuple[type, type | None, bool]:
+    """(value type, list item type or None, None allowed) of an annotation
+    such as `int`, `str | None` or `list[str] | None`."""
+    optional = type(None) in typing.get_args(hint)
+    if optional:
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if typing.get_origin(hint) is list:
+        return list, typing.get_args(hint)[0], optional
+    return hint, None, optional
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    layers = RunConfig().to_dict()
+_TYPES = {name: _resolve(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _flag(f: Field) -> str:
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _problem(f: Field, value) -> str | None:
+    """Why `value` is no valid value of field `f`; None if it is one."""
+    kind, item, optional = _TYPES[f.name]
+    meta = f.metadata
+    if value is None and optional:
+        return None
+    if kind is list:
+        ok = type(value) is list and all(type(v) is item for v in value)
+    else:  # exact types, so a bool is no int; an int is a valid float
+        ok = type(value) is kind or (kind is float and type(value) is int)
+    if not ok:
+        return f"must be {f'a list of {item.__name__}' if item else kind.__name__}, got {value!r}"
+    if kind is float and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if "choices" in meta and value not in meta["choices"]:
+        return f"must be one of {', '.join(meta['choices'])}, got {value!r}"
+    if "gt" in meta and not value > meta["gt"]:
+        return f"must be > {meta['gt']}, got {value!r}"
+    if "ge" in meta and not value >= meta["ge"]:
+        return f"must be >= {meta['ge']}, got {value!r}"
+    return None
+
+
+def _add_flag(parser: argparse.ArgumentParser, f: Field) -> None:
+    kind, item, _ = _TYPES[f.name]
+    kwargs = {k: v for k, v in f.metadata.items() if k in ("help", "choices", "metavar")}
+    if kind is bool:
+        kwargs["action"] = argparse.BooleanOptionalAction
+    elif kind is list:
+        kwargs.update(action="append", type=item)
+    elif kind is not str:
+        kwargs["type"] = kind
+    # the default stays None, so an absent flag keeps the config-file value
+    parser.add_argument(_flag(f), dest=f.name, **kwargs)
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """Field defaults, then the --config file, then the flags given."""
+    values = {}
     if args.config is not None:
-        layers.update(_load_config_file(args.config))
-    for name in list(layers):
-        value = getattr(args, name, None)
-        if value is not None:
-            layers[name] = value
-    return RunConfig.from_dict(layers)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tagtopics", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--corpus", help="tweet corpus file")
-        p.add_argument("--format", choices=("jsonl", "csv"), help="corpus format")
-        p.add_argument("--taxonomy", help="category taxonomy JSON")
-        p.add_argument("--stopwords", help="stopword list file")
-        p.add_argument("--exclusions", help="extra echo-filter terms, one per line")
-        p.add_argument("--lexicon", help="valence lexicon CSV")
-        p.add_argument("--parses", help="dependency parses file")
-        p.add_argument("--scores", help="external sentiment scores (JSON lines)")
-        p.add_argument("--seed-file", dest="seed_file", help="topic seed words JSON")
-        p.add_argument("--predictions", help="assignments CSV to evaluate")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--stem", action=argparse.BooleanOptionalAction,
-                       help="Porter-stem normalized tokens")
-        p.add_argument("--alpha", type=float, help="document-topic prior")
-        p.add_argument("--beta", type=float, help="topic-word prior")
-        p.add_argument("--mu", type=float, help="extra prior mass on seed words")
-        p.add_argument("--iters", type=int, help="Gibbs sweeps")
-        p.add_argument("--unseeded", type=int, help="number of unseeded topics")
-        p.add_argument("--rng-seed", dest="rng_seed", type=int, help="RNG seed")
-        p.add_argument("--top-n", dest="top_n", type=int, help="rows per ranking")
-        p.add_argument("--min-count", dest="min_count", type=int,
-                       help="minimum bigram count")
-        p.add_argument("--min-groups", dest="min_groups", type=int,
-                       help="groups needed for a common word")
-        p.add_argument("--gold-policy", dest="gold_policy",
-                       choices=("rarest", "priority", "exclude_multi"),
-                       help="multi-category gold label policy")
-        return p
-
-    add("trends", "daily tweet counts per category")
-    add("words", "common and distinctive words per category")
-    add("bigrams", "chi-square bigram collocations per category")
-    add("sentiment", "non-neutral sentiment shares per category")
-    add("verbs", "distinctive verbs per category")
-    pairs = add("pairs", "nouns governed by selected verbs")
-    pairs.add_argument("--verb", action="append", dest="verbs", metavar="LEMMA",
-                       help="verb lemma to profile (repeatable)")
-    pairs.add_argument("--rel-scheme", dest="rel_scheme",
-                       choices=("default", "ud"),
-                       help="dependency relation scheme")
-    pairs.add_argument("--subtree", action="store_true",
-                       help="collect nouns from the whole verb subtree")
-    add("topics-train", "train the seeded topic model")
-    add("topics-classify", "label documents with the trained model")
-    add("topics-eval", "score assignments against hashtag-derived gold labels")
-    add("report", "summarize artifacts already in the output directory")
-    return parser
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise UsageError("config file must hold a JSON object")
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                  if getattr(args, f.name) is not None)
+    return RunConfig.from_dict(values)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +220,12 @@ def _load_corpus_and_taxonomy(cfg: RunConfig):
     return tweets, taxonomy
 
 
-def _exclusion_terms(cfg: RunConfig) -> frozenset[str]:
-    if cfg.exclusions is None:
-        return frozenset()
-    return textprep.load_wordlist(cfg.exclusions)
-
-
 def _category_docs(tweets, taxonomy, cfg: RunConfig) -> dict[str, list[textprep.TokenizedDoc]]:
     """Normalized, echo-filtered docs grouped by category, taxonomy order.
     Multi-category tweets appear in every matching group."""
     norm = _norm_config(cfg)
-    exclusions = _exclusion_terms(cfg)
+    exclusions = (textprep.load_wordlist(cfg.exclusions)
+                  if cfg.exclusions is not None else frozenset())
     order = {name: i for i, name in enumerate(taxonomy.names())}
     groups: dict[str, list[textprep.TokenizedDoc]] = {name: [] for name in order}
     for tweet in tweets:
@@ -232,15 +247,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _summary(line: str) -> None:
-    print(line)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_trends(cfg: RunConfig) -> int:
+def _cmd_trends(cfg: RunConfig) -> None:
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     series = corpus_mod.trend_series(tweets, taxonomy)
     out = _out_dir(cfg)
@@ -250,11 +261,10 @@ def _cmd_trends(cfg: RunConfig) -> int:
         for day, count in s.points
     ]
     _write_csv(out / "trends.csv", ["category", "date", "count"], rows)
-    _summary(f"trends: {len(rows)} rows over {len(series)} series -> {out / 'trends.csv'}")
-    return 0
+    print(f"trends: {len(rows)} rows over {len(series)} series -> {out / 'trends.csv'}")
 
 
-def _cmd_words(cfg: RunConfig) -> int:
+def _cmd_words(cfg: RunConfig) -> None:
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     groups = _category_docs(tweets, taxonomy, cfg)
     lexicons = [
@@ -278,11 +288,10 @@ def _cmd_words(cfg: RunConfig) -> int:
         )
     out = _out_dir(cfg)
     _write_csv(out / "words.csv", ["category", "rank", "term", "count", "score"], rows)
-    _summary(f"words: {len(rows)} rows -> {out / 'words.csv'}")
-    return 0
+    print(f"words: {len(rows)} rows -> {out / 'words.csv'}")
 
 
-def _cmd_bigrams(cfg: RunConfig) -> int:
+def _cmd_bigrams(cfg: RunConfig) -> None:
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     groups = _category_docs(tweets, taxonomy, cfg)
     rows = []
@@ -295,11 +304,10 @@ def _cmd_bigrams(cfg: RunConfig) -> int:
         )
     out = _out_dir(cfg)
     _write_csv(out / "bigrams.csv", ["category", "rank", "term", "count", "score"], rows)
-    _summary(f"bigrams: {len(rows)} rows -> {out / 'bigrams.csv'}")
-    return 0
+    print(f"bigrams: {len(rows)} rows -> {out / 'bigrams.csv'}")
 
 
-def _cmd_sentiment(cfg: RunConfig) -> int:
+def _cmd_sentiment(cfg: RunConfig) -> None:
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     membership = corpus_mod.category_membership(tweets, taxonomy)
     if cfg.scores is not None:
@@ -330,8 +338,7 @@ def _cmd_sentiment(cfg: RunConfig) -> int:
     _write_csv(out / "sentiment.csv", ["category", "label", "percentage"], rows)
     flagged = sum(1 for d in dists if d.insufficient_data)
     note = f" ({flagged} categories lacked non-neutral tweets)" if flagged else ""
-    _summary(f"sentiment: {len(rows)} rows -> {out / 'sentiment.csv'}{note}")
-    return 0
+    print(f"sentiment: {len(rows)} rows -> {out / 'sentiment.csv'}{note}")
 
 
 def _grouped_trees(cfg: RunConfig):
@@ -350,7 +357,7 @@ def _grouped_trees(cfg: RunConfig):
     return groups
 
 
-def _cmd_verbs(cfg: RunConfig) -> int:
+def _cmd_verbs(cfg: RunConfig) -> None:
     groups = _grouped_trees(cfg)
     profiles = syntax_mod.distinctive_verbs(groups, n=cfg.top_n)
     rows = [
@@ -360,23 +367,18 @@ def _cmd_verbs(cfg: RunConfig) -> int:
     ]
     out = _out_dir(cfg)
     _write_csv(out / "verbs.csv", ["category", "rank", "term", "count", "score"], rows)
-    _summary(f"verbs: {len(rows)} rows -> {out / 'verbs.csv'}")
-    return 0
+    print(f"verbs: {len(rows)} rows -> {out / 'verbs.csv'}")
 
 
-def _cmd_pairs(cfg: RunConfig, verbs: list[str] | None, rel_scheme: str | None,
-               subtree: bool) -> int:
+def _cmd_pairs(cfg: RunConfig) -> None:
     groups = _grouped_trees(cfg)
-    if rel_scheme == "ud":
-        rel_config = syntax_mod.RelationConfig.universal_dependencies(
-            whole_subtree=subtree
-        )
-    else:
-        rel_config = syntax_mod.RelationConfig(whole_subtree=subtree)
+    relations = (syntax_mod.RelationConfig.universal_dependencies
+                 if cfg.rel_scheme == "ud" else syntax_mod.RelationConfig)
+    rel_config = relations(whole_subtree=cfg.subtree)
     rows = []
     for name, trees in groups.items():
-        if verbs:
-            targets = [v.casefold() for v in verbs]
+        if cfg.verbs:
+            targets = [v.casefold() for v in cfg.verbs]
         else:
             profiles = syntax_mod.distinctive_verbs({name: trees}, n=5)
             targets = [lemma for lemma, _, _ in profiles[0].verbs] if profiles else []
@@ -387,8 +389,7 @@ def _cmd_pairs(cfg: RunConfig, verbs: list[str] | None, rel_scheme: str | None,
             )
     out = _out_dir(cfg)
     _write_csv(out / "pairs.csv", ["category", "verb", "noun", "count"], rows)
-    _summary(f"pairs: {len(rows)} rows -> {out / 'pairs.csv'}")
-    return 0
+    print(f"pairs: {len(rows)} rows -> {out / 'pairs.csv'}")
 
 
 def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig) -> topics_mod.SeedSpec:
@@ -408,31 +409,23 @@ def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig) -> top
     return topics_mod.SeedSpec(seeded=tuple(seeded), unseeded=raw.unseeded)
 
 
-def _cmd_topics_train(cfg: RunConfig) -> int:
+def _cmd_topics_train(cfg: RunConfig) -> None:
     _require(cfg, "corpus")
     tweets = corpus_mod.load_corpus(cfg.corpus, cfg.format)
     norm = _norm_config(cfg)
     seeds = _normalized_seeds(cfg, norm)
     docs = textprep.tokenize_tweets(tweets, norm)
-    model = topics_mod.train(
-        docs,
-        seeds,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        mu=cfg.mu,
-        iterations=cfg.iters,
-        rng_seed=cfg.rng_seed,
-    )
+    model = topics_mod.train(docs, seeds, alpha=cfg.alpha, beta=cfg.beta, mu=cfg.mu,
+                             iterations=cfg.iters, rng_seed=cfg.rng_seed)
     out = _out_dir(cfg)
     topics_mod.save_model(model, out / "model.json")
-    _summary(
+    print(
         f"topics-train: {len(model.doc_ids)} docs, vocabulary {model.vocab_size}, "
         f"{model.num_topics} topics, {cfg.iters} sweeps -> {out / 'model.json'}"
     )
-    return 0
 
 
-def _cmd_topics_classify(cfg: RunConfig) -> int:
+def _cmd_topics_classify(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     model_path = out / "model.json"
     model = topics_mod.load_model(model_path)
@@ -440,8 +433,7 @@ def _cmd_topics_classify(cfg: RunConfig) -> int:
     labels = topics_mod.classify_all(model, rng)
     rows = list(labels.items())
     _write_csv(out / "assignments.csv", ["id", "category"], rows)
-    _summary(f"topics-classify: {len(rows)} docs -> {out / 'assignments.csv'}")
-    return 0
+    print(f"topics-classify: {len(rows)} docs -> {out / 'assignments.csv'}")
 
 
 def _read_assignments(path) -> dict[str, str]:
@@ -455,7 +447,7 @@ def _read_assignments(path) -> dict[str, str]:
     return out
 
 
-def _cmd_topics_eval(cfg: RunConfig) -> int:
+def _cmd_topics_eval(cfg: RunConfig) -> None:
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     out = _out_dir(cfg)
     pred_path = Path(cfg.predictions) if cfg.predictions else out / "assignments.csv"
@@ -480,11 +472,10 @@ def _cmd_topics_eval(cfg: RunConfig) -> int:
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    _summary(
+    print(
         f"topics-eval: accuracy {report.accuracy:.4f} macro-F1 {report.macro_f1:.4f} "
         f"on {len(shared)} docs -> {out / 'report.json'}"
     )
-    return 0
 
 
 def _csv_rows(path: Path) -> int:
@@ -492,7 +483,7 @@ def _csv_rows(path: Path) -> int:
         return max(0, sum(1 for _ in csv.reader(fh)) - 1)
 
 
-def _cmd_report(cfg: RunConfig) -> int:
+def _cmd_report(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     summary: dict[str, object] = {}
     for name in ("trends.csv", "words.csv", "bigrams.csv", "sentiment.csv",
@@ -523,40 +514,44 @@ def _cmd_report(cfg: RunConfig) -> int:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    _summary(f"report: {len(summary)} artifacts summarized -> {out / 'summary.json'}")
-    return 0
+    print(f"report: {len(summary)} artifacts summarized -> {out / 'summary.json'}")
 
 
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "trends": (_cmd_trends, "daily tweet counts per category"),
+    "words": (_cmd_words, "common and distinctive words per category"),
+    "bigrams": (_cmd_bigrams, "chi-square bigram collocations per category"),
+    "sentiment": (_cmd_sentiment, "non-neutral sentiment shares per category"),
+    "verbs": (_cmd_verbs, "distinctive verbs per category"),
+    "pairs": (_cmd_pairs, "nouns governed by selected verbs"),
+    "topics-train": (_cmd_topics_train, "train the seeded topic model"),
+    "topics-classify": (_cmd_topics_classify, "label documents with the trained model"),
+    "topics-eval": (_cmd_topics_eval, "score assignments against hashtag-derived gold labels"),
+    "report": (_cmd_report, "summarize artifacts already in the output directory"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="tagtopics", description=__doc__.split("\n")[0])
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="JSON config file; flags override it")
+    for f in fields(RunConfig):
+        _add_flag(options, f)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[options])
+    return parser
+
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _ = COMMANDS[args.command]
     try:
-        cfg = _merge_config(args)
-        if args.command == "trends":
-            return _cmd_trends(cfg)
-        if args.command == "words":
-            return _cmd_words(cfg)
-        if args.command == "bigrams":
-            return _cmd_bigrams(cfg)
-        if args.command == "sentiment":
-            return _cmd_sentiment(cfg)
-        if args.command == "verbs":
-            return _cmd_verbs(cfg)
-        if args.command == "pairs":
-            return _cmd_pairs(cfg, args.verbs, args.rel_scheme, args.subtree)
-        if args.command == "topics-train":
-            return _cmd_topics_train(cfg)
-        if args.command == "topics-classify":
-            return _cmd_topics_classify(cfg)
-        if args.command == "topics-eval":
-            return _cmd_topics_eval(cfg)
-        if args.command == "report":
-            return _cmd_report(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        handler(_load_config(args))
+        return 0
     except UsageError as exc:
         print(f"tagtopics: error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,9 @@
 """End-to-end command-line runs on the small fixture corpus: artifact
 contents, exit codes, config layering, and determinism."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -344,6 +346,37 @@ class TestExitCodes:
         assert run("report", "--out", str(tmp_path / "empty")) == 2
         assert "no artifacts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("topics-train", "--alpha", "0"),
+        ("topics-train", "--beta", "-1"),
+        ("topics-train", "--mu", "-1"),
+        ("topics-train", "--iters", "-1"),
+        ("topics-train", "--unseeded", "-1"),
+        ("words", "--min-groups", "1"),
+        ("topics-train", "--rng-seed", "-1"),
+        ("words", "--top-n", "-1"),
+        ("bigrams", "--min-count", "-1"),
+        ("topics-train", "--alpha", "nan"),
+        ("topics-train", "--beta", "inf"),
+    ])
+    def test_out_of_range_value_exits_1_before_reading(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the options were checked")
+
+        monkeypatch.setattr(cli.corpus_mod, "load_corpus", unread)
+        out = tmp_path / "never"
+        code = run(
+            command, *BASE, "--seed-file", str(DATA / "seeds.json"),
+            flag, value, "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"tagtopics: error: {flag} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def write_config(self, tmp_path, **overrides):
@@ -392,6 +425,132 @@ class TestConfigFile:
         assert run("trends", "--config", str(path)) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("words", "top_n", "3"),
+        ("trends", "format", "xml"),
+        ("topics-eval", "gold_policy", "bogus"),
+        ("words", "stem", "no"),  # a truthy string, not a bool
+        ("words", "top_n", True),  # bool is an int subclass
+        ("topics-train", "alpha", math.nan),  # json.load reads NaN
+        ("words", "min_groups", 1),
+        ("words", "top_n", None),
+        ("trends", "corpus", 7),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "never"
+        config = self.write_config(
+            tmp_path, seed_file=str(DATA / "seeds.json"), out=str(out), **{key: value}
+        )
+        assert run(command, "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tagtopics: error: ")
+        assert f"config key {key}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_is_a_valid_float(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, seed_file=str(DATA / "seeds.json"), alpha=1, iters=2,
+            out=str(tmp_path / "o"),
+        )
+        assert run("topics-train", "--config", str(config)) == 0
+        model = json.loads((tmp_path / "o" / "model.json").read_text(encoding="utf-8"))
+        assert model["alpha"] == 1
+        capsys.readouterr()
+
+
+class TestPairsConfig:
+    def pairs_bytes(self, out, *argv, **config):
+        path = out.with_suffix(".json")
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert run(
+            "pairs", *BASE, *PARSES, "--config", str(path), *argv, "--out", str(out)
+        ) == 0
+        return (out / "pairs.csv").read_bytes()
+
+    def test_config_keys_match_flags(self, tmp_path, capsys):
+        from_config = self.pairs_bytes(
+            tmp_path / "config", verbs=["read"], rel_scheme="ud", subtree=True
+        )
+        from_flags = self.pairs_bytes(
+            tmp_path / "flags", "--verb", "read", "--rel-scheme", "ud", "--subtree"
+        )
+        assert from_config == from_flags
+        assert from_config.decode().splitlines()[1:] == [
+            "Music,read,book,1",
+            "Music,read,student,1",
+        ]
+        capsys.readouterr()
+
+    def test_no_subtree_overrides_config(self, tmp_path, capsys):
+        # under the UD scheme the whole-subtree mode finds more nouns here
+        wide = self.pairs_bytes(tmp_path / "wide", rel_scheme="ud", subtree=True)
+        narrow = self.pairs_bytes(tmp_path / "narrow", rel_scheme="ud")
+        overridden = self.pairs_bytes(
+            tmp_path / "overridden", "--no-subtree", rel_scheme="ud", subtree=True
+        )
+        assert wide != narrow
+        assert overridden == narrow
+        capsys.readouterr()
+
+    def test_verbs_must_be_a_list(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"verbs": "read"}), encoding="utf-8")
+        assert run(
+            "pairs", *BASE, *PARSES, "--config", str(path), "--out", str(tmp_path / "o")
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--verb (config key verbs) must be a list of str" in err
+        assert not (tmp_path / "o").exists()
+
+
+COMMANDS = (
+    "trends", "words", "bigrams", "sentiment", "verbs", "pairs",
+    "topics-train", "topics-classify", "topics-eval", "report",
+)
+# every option string each subcommand accepted before flags were generated
+# from RunConfig; pairs also took --verb, --rel-scheme and --subtree
+EARLIER_OPTIONS = {
+    "-h", "--help", "--config", "--corpus", "--format", "--taxonomy",
+    "--stopwords", "--exclusions", "--lexicon", "--parses", "--scores",
+    "--seed-file", "--predictions", "--out", "--stem", "--no-stem", "--alpha",
+    "--beta", "--mu", "--iters", "--unseeded", "--rng-seed", "--top-n",
+    "--min-count", "--min-groups", "--gold-policy",
+}
+PAIRS_OPTIONS = {"--verb", "--rel-scheme", "--subtree"}
+SWITCHES = {"--stem", "--no-stem", "--subtree", "--no-subtree"}
+SAMPLE_VALUES = {"--format": "csv", "--gold-policy": "priority", "--rel-scheme": "ud"}
+
+
+def subcommand_options(parser, command):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for action in sub.choices[command]._actions for s in action.option_strings}
+
+
+class TestCliSurface:
+    def test_commands(self):
+        assert tuple(cli.COMMANDS) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_earlier_option_accepted(self, command):
+        parser = cli.build_parser()
+        earlier = EARLIER_OPTIONS | (PAIRS_OPTIONS if command == "pairs" else set())
+        options = subcommand_options(parser, command)
+        assert earlier <= options
+        assert options - earlier <= PAIRS_OPTIONS | {"--no-subtree"}
+        for option in sorted(earlier - {"-h", "--help"}):
+            value = [] if option in SWITCHES else [SAMPLE_VALUES.get(option, "1")]
+            parser.parse_args([command, option, *value])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_shows_every_field(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for field in dataclasses.fields(cli.RunConfig):
+            assert field.metadata["help"] in text, field.name
+
 
 class TestRunConfig:
     def test_round_trip(self):
@@ -410,6 +569,18 @@ class TestRunConfig:
         assert cfg.unseeded == 2
         assert cfg.stem is True
         assert cfg.gold_policy == "rarest"
+
+    def test_pairs_defaults(self):
+        cfg = cli.RunConfig()
+        assert cfg.verbs is None and cfg.rel_scheme == "default"
+        assert cfg.subtree is False
+
+    def test_constructor_checks_values(self):
+        with pytest.raises(cli.UsageError, match="--top-n"):
+            cli.RunConfig(top_n=-1)
+        with pytest.raises(cli.UsageError, match="--verb"):
+            cli.RunConfig(verbs=["read", 3])
+        assert cli.RunConfig(alpha=1).alpha == 1
 
 
 class TestDeterminism:
