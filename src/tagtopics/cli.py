@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 import typing
 from dataclasses import Field, dataclass, field, fields
@@ -100,9 +99,14 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            problem = _problem(f, getattr(self, f.name))
+            value = getattr(self, f.name)
+            problem = _problem(f, value)
             if problem:
                 raise UsageError(f"{_flag(f)} (config key {f.name}) {problem}")
+            if type(value) is int and _TYPES[f.name][0] is float:
+                # stored as the flag parser stores it, so both layers write
+                # the same artifact bytes
+                setattr(self, f.name, float(value))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -146,7 +150,7 @@ def _problem(f: Field, value) -> str | None:
         ok = type(value) is kind or (kind is float and type(value) is int)
     if not ok:
         return f"must be {f'a list of {item.__name__}' if item else kind.__name__}, got {value!r}"
-    if kind is float and not math.isfinite(value):
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
         return f"must be finite, got {value!r}"
     if "choices" in meta and value not in meta["choices"]:
         return f"must be one of {', '.join(meta['choices'])}, got {value!r}"

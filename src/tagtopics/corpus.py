@@ -86,7 +86,10 @@ def _parse_timestamp(value: str) -> datetime:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError as exc:  # the UTC instant falls outside years 1-9999
+        raise ValueError(f"timestamp out of range: {value!r}") from exc
 
 
 def _make_tweet(rec_id, created_at, text) -> Tweet:
@@ -108,7 +111,7 @@ def _iter_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                 yield lineno, None, f"invalid JSON: {exc}"
                 continue
             if not isinstance(obj, dict):

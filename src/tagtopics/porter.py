@@ -4,9 +4,16 @@ Implements the Porter algorithm in its canonical frozen form, which differs
 from the 1980 write-up in three ways: words of length <= 2 pass through
 unchanged, step 2 rewrites the ending "bli" to "ble" (not "abli" to "able"),
 and step 2 gains the rule "logi" to "log".
+
+:func:`stem` is memoized for the life of the process: it is a pure function
+of its input, so a cached result is the result a fresh computation would
+give. The cache holds one entry per distinct word stemmed, which a corpus's
+vocabulary bounds; ``stem.__wrapped__`` is the uncached function.
 """
 
 from __future__ import annotations
+
+import functools
 
 _VOWELS = "aeiou"
 
@@ -190,6 +197,7 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.cache
 def stem(word: str) -> str:
     """Stem a single lowercase word. Words of length <= 2 are returned
     unchanged. Uppercase input is lowered first."""

@@ -6,10 +6,16 @@ non-alphabetic characters, drop tokens shorter than two characters, drop
 stopwords, then optionally Porter-stem. With stemming off the pipeline is
 idempotent; the stemmer itself is not idempotent on its own output, so the
 stemmed pipeline only guarantees determinism.
+
+Text facts are computed once per process: :func:`porter.stem` is memoized,
+and the banned set of :func:`filter_category_echo` is built once per
+(taxonomy, exclusions) pair and reused for every tweet. Both are pure
+functions of frozen, hashable inputs, so a cached result equals a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -67,7 +73,9 @@ def split_tag(tag: str) -> list[str]:
     return _TAG_COMPONENT_RE.findall(tag)
 
 
-def _echo_terms(taxonomy, exclusions: Iterable[str]) -> set[str]:
+@functools.cache
+def _echo_terms(taxonomy, exclusions: Iterable[str]) -> frozenset[str]:
+    """The stemmed and unstemmed echo terms; `exclusions` must be hashable."""
     terms: list[str] = []
     for category in taxonomy.categories:
         raw = category.raw_hashtags or tuple(sorted(category.hashtags))
@@ -85,7 +93,7 @@ def _echo_terms(taxonomy, exclusions: Iterable[str]) -> set[str]:
             continue
         out.add(t)
         out.add(porter.stem(t))
-    return out
+    return frozenset(out)
 
 
 def filter_category_echo(
@@ -97,8 +105,9 @@ def filter_category_echo(
     hashtags, their camel-case / digit-boundary components, and caller-supplied
     exclusion terms (whitespace-split). A token is dropped when either it or
     its stem appears in the stemmed term set, so raw and pre-stemmed token
-    streams both filter correctly."""
-    banned = _echo_terms(taxonomy, exclusions)
+    streams both filter correctly. The banned set is built once per
+    (taxonomy, exclusions) pair and reused by later calls."""
+    banned = _echo_terms(taxonomy, frozenset(exclusions))
     return [t for t in tokens if t not in banned and porter.stem(t) not in banned]
 
 

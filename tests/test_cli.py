@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tagtopics import cli
+from tagtopics import cli, porter, textprep
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +78,26 @@ class TestWords:
         rows = read_csv(tmp_path / "words.csv")[1:]
         for category in {r[0] for r in rows}:
             assert sum(1 for r in rows if r[0] == category) <= 1
+
+
+class TestTextWorkDoneOnce:
+    def test_words_builds_echo_set_once_and_stems_each_word_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        textprep._echo_terms.cache_clear()
+        porter.stem.cache_clear()
+        cached = porter.stem
+        calls = []
+
+        def recording(word):
+            calls.append(word)
+            return cached(word)
+
+        monkeypatch.setattr(porter, "stem", recording)
+        assert run("words", *BASE, "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert textprep._echo_terms.cache_info().misses == 1
+        assert cached.cache_info().misses == len(set(calls)) < len(calls)
 
 
 class TestBigrams:
@@ -432,6 +452,7 @@ class TestConfigFile:
         ("words", "stem", "no"),  # a truthy string, not a bool
         ("words", "top_n", True),  # bool is an int subclass
         ("topics-train", "alpha", math.nan),  # json.load reads NaN
+        pytest.param("topics-train", "alpha", 2**1024, id="topics-train-alpha-int-beyond-float"),
         ("words", "min_groups", 1),
         ("words", "top_n", None),
         ("trends", "corpus", 7),
@@ -456,6 +477,10 @@ class TestConfigFile:
         assert run("topics-train", "--config", str(config)) == 0
         model = json.loads((tmp_path / "o" / "model.json").read_text(encoding="utf-8"))
         assert model["alpha"] == 1
+        assert run("topics-train", *BASE, "--seed-file", str(DATA / "seeds.json"),
+                   "--alpha", "1", "--iters", "2", "--out", str(tmp_path / "flags")) == 0
+        assert (tmp_path / "o" / "model.json").read_bytes() == \
+            (tmp_path / "flags" / "model.json").read_bytes()
         capsys.readouterr()
 
 

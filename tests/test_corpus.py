@@ -1,11 +1,17 @@
 """Corpus loading, hashtag extraction, category assignment, trend series."""
 
-from datetime import date, datetime, timezone
+import json
+import tempfile
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tagtopics import corpus
 from tagtopics.corpus import (
     CategoryTaxonomy,
     Tweet,
@@ -130,6 +136,66 @@ class TestLoadCorpus:
         )
         (tweet,) = load_corpus(p)
         assert tweet.timestamp == datetime(2021, 6, 1, 5, tzinfo=timezone.utc)
+
+
+LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)))
+OFFSETS = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                        max_value=timedelta(hours=23, minutes=59))
+# the first and last day of the datetime range, where an offset can push
+# the UTC instant out of it, as often as all the days between
+DATETIMES = (st.datetimes(max_value=datetime(1, 1, 2)) | st.datetimes()
+             | st.datetimes(min_value=datetime(9999, 12, 31)))
+TIMESTAMPS = st.one_of(
+    st.builds(lambda dt, offset: dt.replace(tzinfo=timezone(offset)).isoformat(),
+              DATETIMES, OFFSETS),
+    DATETIMES.map(datetime.isoformat),
+    LINE_TEXT,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LINE_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(LINE_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+RECORDS = st.fixed_dictionaries({}, optional={
+    "id": LINE_TEXT | JSON_VALUES,
+    "created_at": TIMESTAMPS | JSON_VALUES,
+    "text": LINE_TEXT | JSON_VALUES,
+})
+LINES = RECORDS.map(json.dumps) | JSON_VALUES.map(json.dumps) | LINE_TEXT
+
+
+class TestCorpusLines:
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+14:00"])
+    def test_out_of_range_timestamp_skipped(self, tmp_path, caplog, stamp):
+        p = tmp_path / "edge.jsonl"
+        p.write_text(
+            json.dumps({"id": "a", "created_at": stamp, "text": "#StayHome"}) + "\n"
+            + json.dumps({"id": "b", "created_at": "2021-06-01T05:00:00Z", "text": "x"}) + "\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            assert [t.id for t in load_corpus(p)] == ["b"]
+        (record,) = caplog.records
+        assert "edge.jsonl:1 skipped: timestamp out of range" in record.getMessage()
+
+    def test_deeply_nested_line_skipped(self, tmp_path, caplog):
+        p = tmp_path / "deep.jsonl"
+        p.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            assert load_corpus(p) == []
+        (record,) = caplog.records
+        assert "invalid JSON" in record.getMessage()
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=LINES)
+    def test_any_line_loads_or_is_skipped_with_one_warning(self, line):
+        assume(line.strip())  # blank lines are passed over silently
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus.logger, "warning") as warning:
+            path = Path(tmp) / "one.jsonl"
+            path.write_text(line + "\n", encoding="utf-8")
+            tweets = load_corpus(path)
+        assert len(tweets) + warning.call_count == 1
 
 
 class TestTaxonomy:

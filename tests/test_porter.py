@@ -9,6 +9,8 @@ later steps (relational -> relate in step 2, then relat in step 5a).
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagtopics.porter import (
     _ends_cvc,
@@ -244,3 +246,12 @@ class TestFullPipeline:
     def test_deterministic(self):
         for word, _ in FULL_PIPELINE:
             assert stem(word) == stem(word)
+
+
+class TestCache:
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.text(string.ascii_letters + "éß", max_size=12), max_size=30))
+    def test_cached_equals_uncached(self, words):
+        # repeated and mixed-case words, in the drawn order and reversed
+        for word in words + [w.swapcase() for w in words] + words[::-1]:
+            assert stem(word) == stem.__wrapped__(word)

@@ -2,9 +2,12 @@
 extraction, and per-group distinctive verbs."""
 
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagtopics.syntax import (
     DependencyTree,
@@ -101,6 +104,41 @@ class TestSerialize:
     def test_block_shape(self):
         t = tree("x", ("Hi", "hi", "INTJ", 0, "root"))
         assert serialize_parses([t]) == "# tweet_id = x\n1\tHi\thi\tINTJ\t0\troot\n\n"
+
+
+# no line breaks, tabs or characters that strip() removes, which the
+# block format cannot carry inside a field
+FIELD_CHARS = st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"))
+
+
+@st.composite
+def valid_trees(draw):
+    """A tree with one root and no cycle: in a random order, each node after
+    the first hangs under a node drawn before it."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for i in range(1, n):
+        heads[order[i]] = order[draw(st.integers(0, i - 1))]
+    field = st.text(FIELD_CHARS, max_size=6)
+    return DependencyTree(
+        tweet_id=draw(st.text(FIELD_CHARS, min_size=1, max_size=8)),
+        nodes=tuple(
+            ParseNode(index=i, form=draw(field), lemma=draw(field), pos=draw(field),
+                      head=heads[i], rel=draw(field))
+            for i in range(1, n + 1)
+        ),
+    )
+
+
+class TestSerializeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(trees=st.lists(valid_trees(), max_size=4))
+    def test_load_inverts_serialize(self, trees):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trees.conllu"
+            path.write_text(serialize_parses(trees), encoding="utf-8")
+            assert load_parses(path) == trees
 
 
 FIXTURE_TABLES = {

@@ -4,7 +4,10 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tagtopics import porter, textprep
 from tagtopics.corpus import CategoryTaxonomy
 from tagtopics.textprep import (
     NormalizationConfig,
@@ -124,6 +127,41 @@ class TestFilterCategoryEcho:
     def test_no_terms_no_filtering(self):
         empty = CategoryTaxonomy.from_mapping({})
         assert filter_category_echo(["any", "words"], empty) == ["any", "words"]
+
+
+OTHER_TAXONOMY = CategoryTaxonomy.from_mapping(
+    {"Schools": ["#SchoolClosures", "#RemoteLearning"], "Health": ["#Masks"]}
+)
+ECHO_WORDS = ["covid", "stay", "home", "stayhom", "job", "losses", "loss", "school",
+              "closur", "remot", "learn", "mask", "masks", "governor", "press", "rent"]
+WORDS = st.sampled_from(ECHO_WORDS) | st.text(string.ascii_lowercase, min_size=1, max_size=8)
+EXCLUSION_KINDS = st.sampled_from([set, list, tuple, lambda terms: (t for t in terms)])
+
+
+def reference_echo_filter(tokens, taxonomy, exclusions):
+    """The filter over an echo set built afresh, with the uncached stemmer."""
+    banned = textprep._echo_terms.__wrapped__(taxonomy, exclusions)
+    return [t for t in tokens if t not in banned and porter.stem.__wrapped__(t) not in banned]
+
+
+class TestEchoCache:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.lists(WORDS, max_size=12),
+                  st.lists(WORDS | st.sampled_from(["governor press", "job market"]),
+                           max_size=3),
+                  EXCLUSION_KINDS),
+        min_size=1, max_size=6))
+    def test_matches_uncached_reference(self, calls):
+        # the two taxonomies alternate, so a set cached for one would show
+        # up as a wrong answer for the other
+        for i, (tokens, exclusions, kind) in enumerate(calls):
+            taxonomy = (TAXONOMY, OTHER_TAXONOMY)[i % 2]
+            expected = reference_echo_filter(tokens, taxonomy, exclusions)
+            assert filter_category_echo(tokens, taxonomy, kind(exclusions)) == expected
+
+    def test_echo_set_is_immutable(self):
+        assert isinstance(textprep._echo_terms(TAXONOMY, frozenset()), frozenset)
 
 
 class TestTokenizeTweets:
