@@ -224,24 +224,27 @@ def _load_corpus_and_taxonomy(cfg: RunConfig):
     return tweets, taxonomy
 
 
-def _category_docs(tweets, taxonomy, cfg: RunConfig) -> dict[str, list[textprep.TokenizedDoc]]:
-    """Normalized, echo-filtered docs grouped by category, taxonomy order.
-    Multi-category tweets appear in every matching group."""
-    norm = _norm_config(cfg)
-    exclusions = (textprep.load_wordlist(cfg.exclusions)
-                  if cfg.exclusions is not None else frozenset())
-    order = {name: i for i, name in enumerate(taxonomy.names())}
-    groups: dict[str, list[textprep.TokenizedDoc]] = {name: [] for name in order}
-    for tweet in tweets:
-        cats = corpus_mod.assign_categories(tweet, taxonomy)
-        if not cats:
-            continue
-        tokens = textprep.normalize(tweet.text, norm)
-        tokens = textprep.filter_category_echo(tokens, taxonomy, exclusions)
-        doc = textprep.TokenizedDoc(tweet.id, tuple(tokens))
-        for cat in sorted(cats, key=order.get):
-            groups[cat].append(doc)
+def _exclusions(cfg: RunConfig) -> frozenset[str]:
+    return (textprep.load_wordlist(cfg.exclusions)
+            if cfg.exclusions is not None else frozenset())
+
+
+def _by_category(items, membership: dict[str, set[str]], taxonomy) -> dict[str, list]:
+    """Items with a `tweet_id` (docs, trees) grouped by category in taxonomy
+    order, each group in item order; an item may be in several groups."""
+    groups: dict[str, list] = {name: [] for name in taxonomy.names()}
+    for item in items:
+        for cat in membership.get(item.tweet_id, ()):
+            groups[cat].append(item)
     return groups
+
+
+def _category_docs(tweets, taxonomy, cfg: RunConfig) -> dict[str, list[textprep.TokenizedDoc]]:
+    """The tokens of every categorized tweet, grouped by category."""
+    membership = corpus_mod.category_membership(tweets, taxonomy)
+    docs = textprep.tokenize_tweets((t for t in tweets if t.id in membership),
+                                    _norm_config(cfg), taxonomy, _exclusions(cfg))
+    return _by_category(docs, membership, taxonomy)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -349,15 +352,9 @@ def _grouped_trees(cfg: RunConfig):
     _require(cfg, "parses")
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     trees = syntax_mod.load_parses(cfg.parses)
-    membership = corpus_mod.category_membership(tweets, taxonomy)
-    groups: dict[str, list[syntax_mod.DependencyTree]] = {
-        name: [] for name in taxonomy.names()
-    }
-    for tree in trees:
-        for cat in membership.get(tree.tweet_id, ()):
-            groups[cat].append(tree)
-    for name in groups:
-        groups[name].sort(key=lambda t: t.tweet_id)
+    groups = _by_category(trees, corpus_mod.category_membership(tweets, taxonomy), taxonomy)
+    for group in groups.values():
+        group.sort(key=lambda t: t.tweet_id)
     return groups
 
 
@@ -396,7 +393,10 @@ def _cmd_pairs(cfg: RunConfig) -> None:
     print(f"pairs: {len(rows)} rows -> {out / 'pairs.csv'}")
 
 
-def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig) -> topics_mod.SeedSpec:
+def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig, taxonomy,
+                      exclusions: frozenset[str]) -> topics_mod.SeedSpec:
+    """The seed words as model tokens: normalized and echo-filtered as the
+    tweets are, so no seed word is a term the model never sees."""
     _require(cfg, "seed_file")
     raw = topics_mod.SeedSpec.from_json_file(cfg.seed_file, unseeded=cfg.unseeded)
     seeded = []
@@ -404,9 +404,11 @@ def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig) -> top
         normalized: set[str] = set()
         for word in sorted(words):
             tokens = textprep.normalize(word, norm)
-            if not tokens:
-                logger.warning("seed word %r for %r normalizes to nothing", word, name)
-            normalized.update(tokens)
+            kept = textprep.filter_category_echo(tokens, taxonomy, exclusions)
+            if not kept:
+                why = "a category-echo term" if tokens else "no word left after normalizing"
+                logger.warning("seed word %r for %r normalizes to nothing (%s)", word, name, why)
+            normalized.update(kept)
         if not normalized:
             raise DataError(f"no seed words survive normalization for {name!r}")
         seeded.append((name, frozenset(normalized)))
@@ -414,11 +416,10 @@ def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig) -> top
 
 
 def _cmd_topics_train(cfg: RunConfig) -> None:
-    _require(cfg, "corpus")
-    tweets = corpus_mod.load_corpus(cfg.corpus, cfg.format)
-    norm = _norm_config(cfg)
-    seeds = _normalized_seeds(cfg, norm)
-    docs = textprep.tokenize_tweets(tweets, norm)
+    tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
+    norm, exclusions = _norm_config(cfg), _exclusions(cfg)
+    seeds = _normalized_seeds(cfg, norm, taxonomy, exclusions)
+    docs = textprep.tokenize_tweets(tweets, norm, taxonomy, exclusions)
     model = topics_mod.train(docs, seeds, alpha=cfg.alpha, beta=cfg.beta, mu=cfg.mu,
                              iterations=cfg.iters, rng_seed=cfg.rng_seed)
     out = _out_dir(cfg)

@@ -1,8 +1,9 @@
 """Tweet corpus loading, hashtag extraction, category assignment, trends.
 
 Corpus files come as JSON Lines (one object per line with keys id, created_at,
-text) or RFC 4180 CSV with a header naming the same columns. Records that
-cannot be parsed are skipped with a logged diagnostic; a missing file is fatal.
+text) or RFC 4180 CSV with a header naming the same columns, in UTF-8.
+Records that cannot be parsed, or hold bytes that are not UTF-8, are skipped
+with a logged diagnostic; a missing file is fatal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .errors import DataError
 logger = logging.getLogger(__name__)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
+# files are read with errors="surrogateescape", which maps each byte that is
+# not UTF-8 to one of these code points
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+_NOT_UTF8 = "not valid UTF-8"
 
 UNCATEGORIZED = "(uncategorized)"
 
@@ -104,10 +109,17 @@ def _make_tweet(rec_id, created_at, text) -> Tweet:
     return Tweet(id=rec_id, timestamp=ts, text=text, hashtags=tags)
 
 
+def _undecodable(text: str) -> bool:
+    return not text.isascii() and _ESCAPED_BYTE_RE.search(text) is not None
+
+
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
+                continue
+            if _undecodable(line):
+                yield lineno, None, _NOT_UTF8
                 continue
             try:
                 obj = json.loads(line)
@@ -121,7 +133,7 @@ def _iter_jsonl(path):
 
 
 def _iter_csv(path):
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = {"id", "created_at", "text"} - set(reader.fieldnames or ())
         if missing:
@@ -129,6 +141,10 @@ def _iter_csv(path):
                 f"{path}: CSV header is missing columns {sorted(missing)}"
             )
         for lineno, row in enumerate(reader, start=2):
+            cells = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
+            if any(map(_undecodable, cells)):
+                yield lineno, None, _NOT_UTF8
+                continue
             yield lineno, row, None
 
 

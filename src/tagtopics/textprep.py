@@ -8,9 +8,9 @@ idempotent; the stemmer itself is not idempotent on its own output, so the
 stemmed pipeline only guarantees determinism.
 
 Text facts are computed once per process: :func:`porter.stem` is memoized,
-and the banned set of :func:`filter_category_echo` is built once per
-(taxonomy, exclusions) pair and reused for every tweet. Both are pure
-functions of frozen, hashable inputs, so a cached result equals a fresh one.
+and the banned set of the echo filter is built once per (taxonomy,
+exclusions) pair and reused for every tweet. Both are pure functions of
+frozen, hashable inputs, so a cached result equals a fresh one.
 """
 
 from __future__ import annotations
@@ -63,9 +63,15 @@ def normalize(text: str, config: NormalizationConfig) -> list[str]:
     return tokens
 
 
-def tokenize_tweets(tweets: Iterable, config: NormalizationConfig) -> list[TokenizedDoc]:
-    """Normalize a corpus, one :class:`TokenizedDoc` per tweet, in order."""
-    return [TokenizedDoc(t.id, tuple(normalize(t.text, config))) for t in tweets]
+def tokenize_tweets(tweets: Iterable, config: NormalizationConfig, taxonomy,
+                    exclusions: Iterable[str] = ()) -> list[TokenizedDoc]:
+    """The one path from tweets to model and lexicon tokens: one
+    :class:`TokenizedDoc` per tweet, in order, normalized and then cleared of
+    category-echo terms (:func:`filter_category_echo`), so no analysis reads
+    the hashtags that define its groups."""
+    banned = _echo_terms(taxonomy, frozenset(exclusions))
+    return [TokenizedDoc(t.id, tuple(_drop_echo(normalize(t.text, config), banned)))
+            for t in tweets]
 
 
 def split_tag(tag: str) -> list[str]:
@@ -107,7 +113,10 @@ def filter_category_echo(
     its stem appears in the stemmed term set, so raw and pre-stemmed token
     streams both filter correctly. The banned set is built once per
     (taxonomy, exclusions) pair and reused by later calls."""
-    banned = _echo_terms(taxonomy, frozenset(exclusions))
+    return _drop_echo(tokens, _echo_terms(taxonomy, frozenset(exclusions)))
+
+
+def _drop_echo(tokens: Iterable[str], banned: frozenset[str]) -> list[str]:
     return [t for t in tokens if t not in banned and porter.stem(t) not in banned]
 
 

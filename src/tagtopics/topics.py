@@ -35,6 +35,8 @@ DEFAULT_UNSEEDED = 2
 
 _FORMAT = "tagtopics-lda"
 _FORMAT_VERSION = 2  # version 1 also stored n_dt, n_tw and n_t
+_SEPARATORS = (",", ":")
+_SAVE_IDS = 8192  # ids per piece of the per-token lists save_model writes
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,18 @@ def train(
             )
         seed_word_ids.append(tuple(ids))
 
-    # topics seeded by each word, for the biased initialization
+    # the topics a word's tokens start in: choices[first[w]:first[w] + n_choices[w]],
+    # the topics it seeds, or all K topics if it seeds none
     seeded_by: dict[int, list[int]] = {}
     for t, ids in enumerate(seed_word_ids):
         for w in ids:
             seeded_by.setdefault(w, []).append(t)
+    choices = list(range(k))
+    first = np.zeros(len(vocabulary), dtype=np.int64)
+    n_choices = np.full(len(vocabulary), k, dtype=np.int64)
+    for w, owners in seeded_by.items():
+        first[w], n_choices[w] = len(choices), len(owners)
+        choices.extend(owners)
 
     # one flat array of word ids and one of topics, which the kernel updates;
     # the model's per-document arrays are views of them
@@ -247,16 +256,10 @@ def train(
     z_flat = np.empty(len(word_of), dtype=np.int32)
     doc_words, assignments = _per_doc(word_of, lengths), _per_doc(z_flat, lengths)
     rng = np.random.default_rng(rng_seed)
-
-    for words, z in zip(doc_words, assignments):
-        for i, w in enumerate(words):
-            owners = seeded_by.get(int(w))
-            if owners is None:
-                z[i] = rng.integers(k)
-            elif len(owners) == 1:
-                z[i] = owners[0]
-            else:
-                z[i] = owners[int(rng.integers(len(owners)))]
+    # one uniform draw per token, in document order
+    draw = rng.integers(n_choices[word_of])
+    draw += first[word_of]
+    np.take(np.array(choices, dtype=np.int32), draw, out=z_flat)
 
     model = SeededLdaModel(
         vocabulary=vocabulary,
@@ -487,8 +490,11 @@ def save_model(model: SeededLdaModel, path) -> None:
     """Write the model as deterministic JSON (format version 2):
     hyperparameters, vocabulary, seed ids, document ids, and per-document
     word ids and topic assignments. The count tables are not stored:
-    :func:`load_model` counts them from the assignments."""
-    payload = {
+    :func:`load_model` counts them from the assignments. The bytes are one
+    compact ``json.dumps`` of the whole payload plus a newline, but the two
+    per-token lists, last in the payload, are encoded a few thousand ids at
+    a time, so neither they nor their text are held whole."""
+    head = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
         "alpha": model.alpha,
@@ -502,12 +508,21 @@ def save_model(model: SeededLdaModel, path) -> None:
         "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
         "doc_ids": list(model.doc_ids),
         "dropped_doc_ids": list(model.dropped_doc_ids),
-        "doc_words": [w.tolist() for w in model.doc_words],
-        "assignments": [z.tolist() for z in model.assignments],
     }
-    text = json.dumps(payload, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines((text, "\n"))
+        fh.write(json.dumps(head, separators=_SEPARATORS)[:-1])
+        for key, arrays in (("doc_words", model.doc_words), ("assignments", model.assignments)):
+            fh.write(f',"{key}":[')
+            start = size = 0
+            for end, ids in enumerate(arrays, start=1):
+                size += len(ids)
+                if size >= _SAVE_IDS or end == len(arrays):
+                    piece = json.dumps([a.tolist() for a in arrays[start:end]],
+                                       separators=_SEPARATORS)
+                    fh.writelines(("," if start else "", piece[1:-1]))
+                    start, size = end, 0
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _field(payload: dict, key: str, kinds: tuple[type, ...], item: type | None = None):

@@ -27,7 +27,8 @@ from tagtopics.syntax import (
     serialize_parses,
     verb_noun_pairs,
 )
-from tagtopics.textprep import TokenizedDoc
+from tagtopics.corpus import load_taxonomy
+from tagtopics.textprep import TokenizedDoc, _echo_terms
 from tagtopics.topics import (
     SeedSpec,
     classify_all,
@@ -493,3 +494,18 @@ def test_criterion_08_pipeline_determinism(tmp_path, capsys):
         report = json.loads((out_a / "report.json").read_text(encoding="utf-8"))
         assert report["accuracy"] >= 0.85, report["accuracy"]
         assert elapsed <= 10.0, f"pipeline pass took {elapsed:.1f} s"
+
+
+def test_pipeline_model_reads_no_echo_term(tmp_path, capsys):
+    # criterion 8's gold labels come from the theme hashtags, so the model
+    # must train on none of their terms
+    build_synthetic(tmp_path)
+    assert cli.main(["topics-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--taxonomy", str(tmp_path / "taxonomy.json"),
+                     "--seed-file", str(tmp_path / "seeds.json"), "--iters", "0",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    echo = _echo_terms(load_taxonomy(tmp_path / "taxonomy.json"), frozenset())
+    assert len(model["doc_ids"]) == 500
+    assert not set(model["vocabulary"]) & echo

@@ -268,6 +268,38 @@ class TestTopicsPipeline:
             ) == 0
         assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
 
+    def test_model_reads_no_echo_term(self, tmp_path, capsys):
+        # the hashtags define the gold labels, so the model must not read
+        # them; the uncategorized tweet still trains
+        seed = ["--seed-file", str(DATA / "seeds.json")]
+        assert run("topics-train", *BASE, *seed, "--iters", "2", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        echo = textprep._echo_terms(cli.corpus_mod.load_taxonomy(DATA / "taxonomy.json"),
+                                    frozenset())
+        assert model["vocabulary"] and not set(model["vocabulary"]) & echo
+        assert "t11" in model["doc_ids"]
+
+    def test_echo_seed_words_dropped_with_warning(self, tmp_path, caplog, capsys):
+        seed = ["--seed-file", str(DATA / "seeds.json")]
+        with caplog.at_level("WARNING", logger="tagtopics.cli"):
+            assert run("topics-train", *BASE, *seed, "--iters", "0",
+                       "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        warned = {r.args[0] for r in caplog.records
+                  if "normalizes to nothing (a category-echo term)" in r.getMessage()}
+        assert warned == {"album", "storm"}
+        model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        seeds = {model["vocabulary"][w] for ids in model["seed_word_ids"] for w in ids}
+        assert seeds and not seeds & {"album", "storm"}
+
+    def test_train_without_taxonomy_exits_2(self, tmp_path, capsys):
+        assert run("topics-train", "--corpus", str(DATA / "corpus.jsonl"),
+                   "--seed-file", str(DATA / "seeds.json"), "--iters", "0",
+                   "--out", str(tmp_path)) == 2
+        assert "--taxonomy" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_eval_with_explicit_predictions(self, tmp_path):
         pred = tmp_path / "pred.csv"
         with open(pred, "w", newline="", encoding="utf-8") as fh:
@@ -346,6 +378,20 @@ class TestExitCodes:
             "--out", str(tmp_path),
         ) == 2
         capsys.readouterr()
+
+    def test_non_utf8_corpus_line_skipped(self, tmp_path, caplog, capsys):
+        corpus = tmp_path / "latin1.jsonl"
+        lines = (DATA / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"New album", b"Nouvel caf\xe9 album")
+        corpus.write_bytes(b"".join(lines))
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            assert run("trends", "--corpus", str(corpus),
+                       "--taxonomy", str(DATA / "taxonomy.json"), "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        (record,) = caplog.records
+        assert "latin1.jsonl:2 skipped: not valid UTF-8" in record.getMessage()
+        # t02 was the only Music tweet of 2021-06-01 besides t01
+        assert ["Music", "2021-06-01", "1"] in read_csv(tmp_path / "trends.csv")
 
     def test_classify_with_bad_topic_id_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)

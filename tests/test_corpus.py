@@ -162,6 +162,13 @@ RECORDS = st.fixed_dictionaries({}, optional={
     "text": LINE_TEXT | JSON_VALUES,
 })
 LINES = RECORDS.map(json.dumps) | JSON_VALUES.map(json.dumps) | LINE_TEXT
+# no line breaks: text mode ends a line at \n, \r or \r\n
+LINE_BYTES = st.binary().map(lambda b: b.replace(b"\n", b"").replace(b"\r", b""))
+# a valid line with arbitrary bytes spliced in, or arbitrary bytes alone
+BYTE_LINES = LINE_BYTES | st.builds(
+    lambda line, at, junk: line[:at] + junk + line[at:],
+    LINES.map(lambda s: s.encode("utf-8")), st.integers(0, 200), LINE_BYTES,
+)
 
 
 class TestCorpusLines:
@@ -187,15 +194,29 @@ class TestCorpusLines:
         assert "invalid JSON" in record.getMessage()
 
     @settings(max_examples=300, deadline=None)
-    @given(line=LINES)
+    @given(line=LINES.map(lambda s: s.encode("utf-8")) | BYTE_LINES)
     def test_any_line_loads_or_is_skipped_with_one_warning(self, line):
-        assume(line.strip())  # blank lines are passed over silently
+        # blank lines are passed over silently
+        assume(line.decode("utf-8", "surrogateescape").strip())
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(corpus.logger, "warning") as warning:
             path = Path(tmp) / "one.jsonl"
-            path.write_text(line + "\n", encoding="utf-8")
+            path.write_bytes(line + b"\n")
             tweets = load_corpus(path)
         assert len(tweets) + warning.call_count == 1
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_non_utf8_line_skipped_others_load(self, tmp_path, caplog, fmt):
+        p = tmp_path / f"latin1.{fmt}"
+        lines = (DATA / f"corpus.{fmt}").read_bytes().splitlines(keepends=True)
+        bad = 2 if fmt == "jsonl" else 3  # t02, after the CSV header
+        lines[bad - 1] = lines[bad - 1].replace(b"New album", b"Nouvel caf\xe9 album")
+        p.write_bytes(b"".join(lines))
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            tweets = load_corpus(p, fmt=fmt)
+        assert [t.id for t in tweets] == [f"t{i:02d}" for i in range(1, 13) if i != 2]
+        (record,) = caplog.records
+        assert f"latin1.{fmt}:{bad} skipped: not valid UTF-8" in record.getMessage()
 
 
 class TestTaxonomy:

@@ -171,12 +171,12 @@ class TestTokenizeTweets:
                 self.id = id
                 self.text = text
 
-        docs = tokenize_tweets(
-            [FakeTweet("a", "first tweet"), FakeTweet("b", "second")], RAW
-        )
-        assert docs == [
+        tweets = [FakeTweet("a", "first tweet"), FakeTweet("b", "second"),
+                  FakeTweet("c", "#StayHome jobs report #Covid19")]
+        assert tokenize_tweets(tweets, RAW, TAXONOMY, exclusions={"report"}) == [
             TokenizedDoc("a", ("first", "tweet")),
             TokenizedDoc("b", ("second",)),
+            TokenizedDoc("c", ()),  # tag bodies, "jobs" (stem job) and the exclusion
         ]
 
 

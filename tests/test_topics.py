@@ -5,6 +5,7 @@ gold-label derivation, and model persistence."""
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagtopics import _gibbs
+from tagtopics import _gibbs, topics as topics_mod
 from tagtopics._gibbs import run_sweep
 from tagtopics.errors import DataError
 from tagtopics.textprep import TokenizedDoc
@@ -357,6 +358,20 @@ class TestTrain:
         np.testing.assert_array_equal(model.assignments[0], [0, 0, 1])
         np.testing.assert_array_equal(model.n_dt[0], [2, 1])
 
+    def test_initial_draws_match_per_token_reference(self):
+        # one draw per token, in document order, from the training stream:
+        # uniform over the topics the token's word seeds, or over all K
+        spec = SeedSpec.from_mapping(
+            {"A": ["apple", "banana"], "B": ["banana"], "C": ["xray"]}, unseeded=2
+        )
+        docs = small_corpus()
+        model = train(docs, spec, iterations=0, rng_seed=7)
+        owners = {w: [t for t, (_, seeds) in enumerate(spec.seeded) if w in seeds] or
+                  list(range(model.num_topics)) for d in docs for w in d.tokens}
+        rng = np.random.default_rng(7)
+        expected = [owners[w][rng.integers(len(owners[w]))] for d in docs for w in d.tokens]
+        assert np.concatenate(model.assignments).tolist() == expected
+
     def test_shared_seed_word_splits_between_owners(self):
         spec = SeedSpec.from_mapping({"A": ["aa"], "B": ["aa"]}, unseeded=0)
         model = train(
@@ -636,6 +651,47 @@ class TestSaveLoad:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("piece_ids", [1, 7, 40, 8192])
+    def test_pieces_write_the_one_shot_bytes(self, tmp_path, monkeypatch, piece_ids):
+        model = self.trained()  # 20 documents of 8 tokens
+        monkeypatch.setattr(topics_mod, "_SAVE_IDS", piece_ids)
+        save_model(model, tmp_path / "m.json")
+        payload = {
+            "format": "tagtopics-lda", "version": 2,
+            "alpha": model.alpha, "beta": model.beta, "mu": model.mu,
+            "iterations": model.iterations, "rng_seed": model.rng_seed,
+            "categories": list(model.categories), "num_unseeded": model.num_unseeded,
+            "vocabulary": list(model.vocabulary),
+            "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
+            "doc_ids": list(model.doc_ids), "dropped_doc_ids": list(model.dropped_doc_ids),
+            "doc_words": [w.tolist() for w in model.doc_words],
+            "assignments": [z.tolist() for z in model.assignments],
+        }
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == \
+            json.dumps(payload, separators=(",", ":")) + "\n"
+
+    def test_save_holds_no_whole_token_list(self, tmp_path):
+        # 500k tokens: one json.dumps of the payload holds every id as a list
+        # item and an encoded chunk, several times the file size
+        docs, length = 500, 1000
+        ids = np.arange(docs * length, dtype=np.int32) % 50
+        model = SeededLdaModel(
+            vocabulary=tuple(f"w{i}" for i in range(50)),
+            doc_ids=tuple(f"d{i}" for i in range(docs)), dropped_doc_ids=(),
+            categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
+            iterations=0, rng_seed=0, seed_word_ids=((0,),),
+            doc_words=topics_mod._per_doc(ids, [length] * docs),
+            assignments=topics_mod._per_doc(ids % 3, [length] * docs),
+        )
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
     def test_bad_files_rejected(self, tmp_path):
         path = tmp_path / "m.json"
