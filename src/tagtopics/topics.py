@@ -36,7 +36,7 @@ DEFAULT_UNSEEDED = 2
 _FORMAT = "tagtopics-lda"
 _FORMAT_VERSION = 2  # version 1 also stored n_dt, n_tw and n_t
 _SEPARATORS = (",", ":")
-_SAVE_IDS = 8192  # ids per piece of the per-token lists save_model writes
+_SAVE_ITEMS = 8192  # JSON values (strings, ids, id lists) per piece save_model writes
 
 
 @dataclass(frozen=True)
@@ -279,8 +279,9 @@ def train(
 
     word_prior, prior_total = model.word_prior()
     doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
+    u = np.empty(len(z_flat))  # each sweep's uniforms, drawn in place
     for _ in range(iterations):
-        u = rng.random(len(z_flat))
+        rng.random(out=u)
         run_sweep(z_flat, doc_of, word_of, model.n_dt, model.n_tw, model.n_t,
                   word_prior, prior_total, alpha, u)
 
@@ -491,9 +492,10 @@ def save_model(model: SeededLdaModel, path) -> None:
     hyperparameters, vocabulary, seed ids, document ids, and per-document
     word ids and topic assignments. The count tables are not stored:
     :func:`load_model` counts them from the assignments. The bytes are one
-    compact ``json.dumps`` of the whole payload plus a newline, but the two
-    per-token lists, last in the payload, are encoded a few thousand ids at
-    a time, so neither they nor their text are held whole."""
+    compact ``json.dumps`` of the whole payload plus a newline, but every
+    list, last in the payload, is encoded a few thousand items (strings or
+    ids) at a time, so no list that grows with the corpus is held whole as
+    encoder input or as text."""
     head = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
@@ -504,21 +506,27 @@ def save_model(model: SeededLdaModel, path) -> None:
         "rng_seed": model.rng_seed,
         "categories": list(model.categories),
         "num_unseeded": model.num_unseeded,
-        "vocabulary": list(model.vocabulary),
-        "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
-        "doc_ids": list(model.doc_ids),
-        "dropped_doc_ids": list(model.dropped_doc_ids),
     }
+    lists = (
+        ("vocabulary", model.vocabulary),
+        ("seed_word_ids", model.seed_word_ids),
+        ("doc_ids", model.doc_ids),
+        ("dropped_doc_ids", model.dropped_doc_ids),
+        ("doc_words", model.doc_words),
+        ("assignments", model.assignments),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, separators=_SEPARATORS)[:-1])
-        for key, arrays in (("doc_words", model.doc_words), ("assignments", model.assignments)):
+        for key, items in lists:
             fh.write(f',"{key}":[')
             start = size = 0
-            for end, ids in enumerate(arrays, start=1):
-                size += len(ids)
-                if size >= _SAVE_IDS or end == len(arrays):
-                    piece = json.dumps([a.tolist() for a in arrays[start:end]],
-                                       separators=_SEPARATORS)
+            for end, item in enumerate(items, start=1):
+                size += 1 if isinstance(item, str) else 1 + len(item)
+                if size >= _SAVE_ITEMS or end == len(items):
+                    piece = json.dumps(
+                        [x.tolist() if isinstance(x, np.ndarray) else x
+                         for x in items[start:end]],
+                        separators=_SEPARATORS)
                     fh.writelines(("," if start else "", piece[1:-1]))
                     start, size = end, 0
             fh.write("]")

@@ -186,12 +186,12 @@ class TestKernel:
             for got, want in zip(kernel_state, replay_state):
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 16])
     def test_backends_agree_with_each_other_and_replay(self, k):
         rng = np.random.default_rng(100 + k)
         kernels = _gibbs.backends()
         assert "python" in kernels
-        for d_count, v, n in ((1, 3, 1), (4, 9, 60), (30, 50, 400)):
+        for d_count, v, n in ((1, 3, 1), (4, 9, 60), (30, 50, 400), (250, 400, 5000)):
             state = self.setup_state(rng, d_count=d_count, v=v, k=k, n=n)
             runs = {name: tuple(a.copy() for a in state) for name in kernels}
             replay = tuple(a.copy() for a in state)
@@ -204,6 +204,42 @@ class TestKernel:
                 # z, n_dt, n_tw and n_t; the priors are read-only inputs
                 for got, want in zip(got_state[:6], replay[:6]):
                     np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_draws_on_a_weight_boundary_agree(self):
+        # r = u * total placed exactly on, and just below, each running sum
+        # of the first token's weights: a kernel whose sums differ from the
+        # replay's by one ulp picks another topic there
+        rng = np.random.default_rng(11)
+        kernels = _gibbs.backends()
+        for _ in range(4):
+            state = self.setup_state(rng, k=8)
+            z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total = (
+                a.copy() for a in state)
+            d, w, t = doc_of[0], word_of[0], z[0]
+            n_dt[d, t] -= 1
+            n_tw[w, t] -= 1
+            n_t[t] -= 1
+            sums, acc = [], 0.0
+            for tt in range(8):
+                acc += ((n_dt[d, tt] + 0.01) * (n_tw[w, tt] + prior[w, tt])
+                        / (n_t[tt] + prior_total[tt]))
+                sums.append(acc)
+            for target in sums[:-1]:
+                draw = target / acc
+                for _ in range(4):  # step u until its product lands on the sum
+                    if draw * acc == target:
+                        break
+                    draw = np.nextafter(draw, np.inf if draw * acc < target else -np.inf)
+                for first in (draw, np.nextafter(draw, -np.inf)):
+                    u = rng.random(len(state[0]))
+                    u[0] = first
+                    replay = tuple(a.copy() for a in state)
+                    replay_sweep(*replay, 0.01, u)
+                    for name, kernel in kernels.items():
+                        got = tuple(a.copy() for a in state)
+                        kernel(*got, 0.01, u)
+                        for got_array, want in zip(got[:6], replay[:6]):
+                            np.testing.assert_array_equal(got_array, want, err_msg=name)
 
     def test_degenerate_weights_rejected(self):
         # zero prior and zero alpha leave every numerator at zero once the
@@ -220,6 +256,47 @@ class TestKernel:
             with pytest.raises(AssertionError):
                 kernel(z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total,
                        0.0, np.array([0.5]))
+
+    def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
+        # token 3 is alone in document 1 and its word has no prior, so with
+        # alpha = 0 its weights are all zero once it is removed; tokens 0-2
+        # are resampled first and tokens 4-5 never are
+        doc_of = np.array([0, 0, 0, 1, 0, 0], dtype=np.int32)
+        word_of = np.array([0, 0, 0, 1, 0, 0], dtype=np.int32)
+        z = np.array([0, 1, 0, 1, 1, 0], dtype=np.int32)
+        prior = np.array([[0.3, 0.2], [0.0, 0.0]])
+        u = np.array([0.9, 0.1, 0.6, 0.5, 0.5, 0.5])
+        states = {}
+        for name, kernel in (("run_sweep", run_sweep), *_gibbs.backends().items()):
+            state = (z.copy(), doc_of, word_of, np.array([[3, 2], [0, 1]]),
+                     np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
+                     prior.sum(axis=0))
+            with pytest.raises(AssertionError):
+                kernel(*state, 0.0, u)
+            states[name] = state
+        want = states.pop("run_sweep")
+        # token 3 is out of the counts, the rest are counted where z puts them
+        counted = np.arange(6) != 3
+        n_dt = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(n_dt, (doc_of[counted], want[0][counted]), 1)
+        np.testing.assert_array_equal(want[3], n_dt)
+        np.testing.assert_array_equal(want[5], n_dt.sum(axis=0))
+        np.testing.assert_array_equal(want[0][3:], z[3:])
+        for name, got in states.items():
+            for got_array, want_array in zip(got[:6], want[:6]):
+                np.testing.assert_array_equal(got_array, want_array, err_msg=name)
+
+    def test_generated_sweep_built_once_per_k(self):
+        rng = np.random.default_rng(5)
+        _gibbs._unrolled_sweep.cache_clear()
+        try:
+            for k in (3, 3, 5, 3):
+                state = self.setup_state(rng, k=k)
+                _gibbs.sweep_python(*state, 0.01, rng.random(len(state[0])))
+            info = _gibbs._unrolled_sweep.cache_info()
+            assert (info.misses, info.hits) == (2, 2)
+        finally:
+            _gibbs._unrolled_sweep.cache_clear()
 
     def test_bad_arrays_rejected_before_counts_change(self):
         rng = np.random.default_rng(3)
@@ -654,22 +731,10 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("piece_ids", [1, 7, 40, 8192])
     def test_pieces_write_the_one_shot_bytes(self, tmp_path, monkeypatch, piece_ids):
-        model = self.trained()  # 20 documents of 8 tokens
-        monkeypatch.setattr(topics_mod, "_SAVE_IDS", piece_ids)
+        model = self.trained()  # 20 documents of 8 tokens, 6 words
+        monkeypatch.setattr(topics_mod, "_SAVE_ITEMS", piece_ids)
         save_model(model, tmp_path / "m.json")
-        payload = {
-            "format": "tagtopics-lda", "version": 2,
-            "alpha": model.alpha, "beta": model.beta, "mu": model.mu,
-            "iterations": model.iterations, "rng_seed": model.rng_seed,
-            "categories": list(model.categories), "num_unseeded": model.num_unseeded,
-            "vocabulary": list(model.vocabulary),
-            "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
-            "doc_ids": list(model.doc_ids), "dropped_doc_ids": list(model.dropped_doc_ids),
-            "doc_words": [w.tolist() for w in model.doc_words],
-            "assignments": [z.tolist() for z in model.assignments],
-        }
-        assert (tmp_path / "m.json").read_text(encoding="utf-8") == \
-            json.dumps(payload, separators=(",", ":")) + "\n"
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == one_shot_text(model)
 
     def test_save_holds_no_whole_token_list(self, tmp_path):
         # 500k tokens: one json.dumps of the payload holds every id as a list
@@ -692,6 +757,30 @@ class TestSaveLoad:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
+
+    def test_save_holds_no_whole_document_list(self, tmp_path, monkeypatch):
+        # 20k two-token documents, 20 pieces of document ids: the ids, not
+        # the tokens, would dominate a one-shot encoding
+        monkeypatch.setattr(topics_mod, "_SAVE_ITEMS", 1000)
+        docs = 20000
+        ids = np.arange(2 * docs, dtype=np.int32) % 50
+        model = SeededLdaModel(
+            vocabulary=tuple(f"w{i}" for i in range(50)),
+            doc_ids=tuple(f"doc{i:06d}" for i in range(docs)), dropped_doc_ids=(),
+            categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
+            iterations=0, rng_seed=0, seed_word_ids=((0,),),
+            doc_words=topics_mod._per_doc(ids, [2] * docs),
+            assignments=topics_mod._per_doc(ids % 3, [2] * docs),
+        )
+        path = tmp_path / "many.json"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+        assert path.read_text(encoding="utf-8") == one_shot_text(model)
 
     def test_bad_files_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -762,6 +851,22 @@ class TestSaveLoad:
         write_json(path, payload)
         with pytest.raises(DataError):
             load_model(path)
+
+
+def one_shot_text(model):
+    """What save_model must write: one compact json.dumps of the payload."""
+    payload = {
+        "format": "tagtopics-lda", "version": 2,
+        "alpha": model.alpha, "beta": model.beta, "mu": model.mu,
+        "iterations": model.iterations, "rng_seed": model.rng_seed,
+        "categories": list(model.categories), "num_unseeded": model.num_unseeded,
+        "vocabulary": list(model.vocabulary),
+        "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
+        "doc_ids": list(model.doc_ids), "dropped_doc_ids": list(model.dropped_doc_ids),
+        "doc_words": [w.tolist() for w in model.doc_words],
+        "assignments": [z.tolist() for z in model.assignments],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def write_json(path, payload):
