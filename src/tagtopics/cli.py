@@ -35,7 +35,7 @@ from . import (
     textprep,
     topics as topics_mod,
 )
-from .errors import DataError
+from .errors import SKIPPED, DataError, iter_csv, open_lines, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -179,12 +179,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config is not None:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except OSError as exc:
+            values = read_json(args.config, "config")
+        except (OSError, DataError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
     values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
@@ -404,7 +401,7 @@ def _normalized_seeds(cfg: RunConfig, norm: textprep.NormalizationConfig, taxono
         normalized: set[str] = set()
         for word in sorted(words):
             tokens = textprep.normalize(word, norm)
-            kept = textprep.filter_category_echo(tokens, taxonomy, exclusions)
+            kept = textprep.echo_free_tokens(word, norm, taxonomy, exclusions)
             if not kept:
                 why = "a category-echo term" if tokens else "no word left after normalizing"
                 logger.warning("seed word %r for %r normalizes to nothing (%s)", word, name, why)
@@ -442,13 +439,12 @@ def _cmd_topics_classify(cfg: RunConfig) -> None:
 
 
 def _read_assignments(path) -> dict[str, str]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"id", "category"} - set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns id,category")
-        out: dict[str, str] = {}
-        for row in reader:
-            out[row["id"]] = row["category"]
+    out: dict[str, str] = {}
+    for lineno, row in iter_csv(path, ("id", "category"), logger):
+        if row["category"] is None:
+            logger.warning(SKIPPED, path, lineno, "no category")
+            continue
+        out[row["id"]] = row["category"]
     return out
 
 
@@ -484,7 +480,7 @@ def _cmd_topics_eval(cfg: RunConfig) -> None:
 
 
 def _csv_rows(path: Path) -> int:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_lines(path, newline="") as fh:
         return max(0, sum(1 for _ in csv.reader(fh)) - 1)
 
 
@@ -507,8 +503,9 @@ def _cmd_report(cfg: RunConfig) -> None:
         }
     report_path = out / "report.json"
     if report_path.exists():
-        with open(report_path, encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = read_json(report_path, "report")
+        if not isinstance(report, dict) or not isinstance(report.get("macro", {}), dict):
+            raise DataError(f"{report_path}: not a topics-eval report")
         summary["report.json"] = {
             "accuracy": report.get("accuracy"),
             "macro_f1": report.get("macro", {}).get("f1"),

@@ -1,31 +1,24 @@
 """Tweet corpus loading, hashtag extraction, category assignment, trends.
 
 Corpus files come as JSON Lines (one object per line with keys id, created_at,
-text) or RFC 4180 CSV with a header naming the same columns, in UTF-8.
-Records that cannot be parsed, or hold bytes that are not UTF-8, are skipped
-with a logged diagnostic; a missing file is fatal.
+text) or RFC 4180 CSV with a header naming the same columns, in UTF-8. Bad
+records are skipped as :mod:`tagtopics.errors` says; a missing file is fatal.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, iter_csv, iter_jsonl, read_string_lists
 
 logger = logging.getLogger(__name__)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
-# files are read with errors="surrogateescape", which maps each byte that is
-# not UTF-8 to one of these code points
-_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
-_NOT_UTF8 = "not valid UTF-8"
 
 UNCATEGORIZED = "(uncategorized)"
 
@@ -109,62 +102,20 @@ def _make_tweet(rec_id, created_at, text) -> Tweet:
     return Tweet(id=rec_id, timestamp=ts, text=text, hashtags=tags)
 
 
-def _undecodable(text: str) -> bool:
-    return not text.isascii() and _ESCAPED_BYTE_RE.search(text) is not None
-
-
-def _iter_jsonl(path):
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if _undecodable(line):
-                yield lineno, None, _NOT_UTF8
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                yield lineno, None, f"invalid JSON: {exc}"
-                continue
-            if not isinstance(obj, dict):
-                yield lineno, None, "record is not an object"
-                continue
-            yield lineno, obj, None
-
-
-def _iter_csv(path):
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"id", "created_at", "text"} - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(
-                f"{path}: CSV header is missing columns {sorted(missing)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            cells = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
-            if any(map(_undecodable, cells)):
-                yield lineno, None, _NOT_UTF8
-                continue
-            yield lineno, row, None
-
-
 def load_corpus(path, fmt: str = "jsonl") -> list[Tweet]:
     """Load tweets in file order. Malformed records, bad timestamps and
     duplicate ids are skipped with one diagnostic each; the first record wins
     a duplicate id."""
     if fmt == "jsonl":
-        records = _iter_jsonl(path)
+        records = iter_jsonl(path, logger)
     elif fmt == "csv":
-        records = _iter_csv(path)
+        records = iter_csv(path, ("id", "created_at", "text"), logger)
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
 
     tweets: list[Tweet] = []
     seen: set[str] = set()
-    for lineno, obj, err in records:
-        if err is not None:
-            logger.warning("%s:%d skipped: %s", path, lineno, err)
-            continue
+    for lineno, obj in records:
         try:
             tweet = _make_tweet(obj.get("id"), obj.get("created_at"), obj.get("text"))
         except ValueError as exc:
@@ -181,17 +132,7 @@ def load_corpus(path, fmt: str = "jsonl") -> list[Tweet]:
 def load_taxonomy(path) -> CategoryTaxonomy:
     """Read a JSON object mapping category name to a hashtag list; insertion
     order in the file is the taxonomy order."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid taxonomy JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: taxonomy must be an object of name -> tag list")
-    for name, tags in obj.items():
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise DataError(f"{path}: category {name!r} must map to a list of strings")
-    return CategoryTaxonomy.from_mapping(obj)
+    return CategoryTaxonomy.from_mapping(read_string_lists(path, "taxonomy"))
 
 
 def assign_categories(tweet: Tweet, taxonomy: CategoryTaxonomy) -> set[str]:
@@ -213,25 +154,33 @@ def category_membership(
     return out
 
 
-def trend_series(
-    corpus: Iterable[Tweet],
-    taxonomy: CategoryTaxonomy,
-    include_uncategorized: bool = True,
-) -> list[TrendSeries]:
+def category_order(
+    membership: Mapping[str, Iterable[str]], categories: Sequence[str] | None = None
+) -> list[str]:
+    """`categories` (taxonomy order), then the other categories named in
+    `membership`, sorted; all of them sorted if `categories` is None."""
+    seen: set[str] = set()
+    for cats in membership.values():
+        seen.update(cats)
+    if categories is None:
+        return sorted(seen)
+    return list(categories) + sorted(seen - set(categories))
+
+
+def trend_series(corpus: Iterable[Tweet], taxonomy: CategoryTaxonomy) -> list[TrendSeries]:
     """Daily tweet counts per category (UTC days), zero-filled over the
     corpus-wide date span. A tweet in several categories counts once in each;
     tweets matching nothing go to the trailing "(uncategorized)" series."""
     tweets = list(corpus)
     names = taxonomy.names()
     counts: dict[str, Counter] = {name: Counter() for name in names}
-    if include_uncategorized:
-        counts[UNCATEGORIZED] = Counter()
+    counts[UNCATEGORIZED] = Counter()
     days: list[date] = []
     for tweet in tweets:
         day = tweet.timestamp.date()
         days.append(day)
         cats = assign_categories(tweet, taxonomy)
-        if not cats and include_uncategorized:
+        if not cats:
             counts[UNCATEGORIZED][day] += 1
         for cat in cats:
             counts[cat][day] += 1

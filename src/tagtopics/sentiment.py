@@ -12,13 +12,15 @@ Fractions until rendering).
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
+
+from .corpus import category_order
+from .errors import NOT_UTF8, SKIPPED, iter_jsonl, open_lines, undecodable
 
 logger = logging.getLogger(__name__)
 
@@ -79,30 +81,19 @@ def ingest_scores(path) -> dict[str, SentimentLabel]:
     malformed lines are skipped with a diagnostic; on duplicate ids the last
     record wins (with a warning)."""
     out: dict[str, SentimentLabel] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                logger.warning("%s:%d skipped: invalid JSON: %s", path, lineno, exc)
-                continue
-            if not isinstance(obj, dict):
-                logger.warning("%s:%d skipped: record is not an object", path, lineno)
-                continue
-            rec_id = obj.get("id")
-            label = obj.get("label")
-            if not isinstance(rec_id, str) or not rec_id:
-                logger.warning("%s:%d skipped: missing id", path, lineno)
-                continue
-            if label not in _LABEL_BY_VALUE:
-                logger.warning("%s:%d skipped: unknown label %r", path, lineno, label)
-                continue
-            if rec_id in out:
-                logger.warning("%s:%d duplicate id %r, keeping the later record",
-                               path, lineno, rec_id)
-            out[rec_id] = _LABEL_BY_VALUE[label]
+    for lineno, obj in iter_jsonl(path, logger):
+        rec_id = obj.get("id")
+        label = obj.get("label")
+        if not isinstance(rec_id, str) or not rec_id:
+            logger.warning("%s:%d skipped: missing id", path, lineno)
+            continue
+        if not isinstance(label, str) or label not in _LABEL_BY_VALUE:
+            logger.warning("%s:%d skipped: unknown label %r", path, lineno, label)
+            continue
+        if rec_id in out:
+            logger.warning("%s:%d duplicate id %r, keeping the later record",
+                           path, lineno, rec_id)
+        out[rec_id] = _LABEL_BY_VALUE[label]
     return out
 
 
@@ -115,17 +106,9 @@ def category_distribution(
 
     `membership` maps tweet id to the categories it belongs to; a tweet in
     several categories counts once in each. Tweets without a label are
-    ignored. Output order follows `categories` when given (plus any extra
-    names found in the membership, sorted), else sorted names.
+    ignored. Output order is :func:`corpus.category_order`.
     """
-    seen: set[str] = set()
-    for cats in membership.values():
-        seen.update(cats)
-    if categories is None:
-        order = sorted(seen)
-    else:
-        order = list(categories) + sorted(seen - set(categories))
-
+    order = category_order(membership, categories)
     counts: dict[str, dict[SentimentLabel, int]] = {
         name: {label: 0 for label in NON_NEUTRAL} for name in order
     }
@@ -154,9 +137,12 @@ def load_valence_lexicon(path) -> dict[str, float]:
     parse as a number is treated as a header; other bad rows are skipped with
     a diagnostic. Valences outside [-1, 1] are rejected."""
     out: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_lines(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if any(map(undecodable, row)):
+                logger.warning(SKIPPED, path, lineno, NOT_UTF8)
                 continue
             if len(row) < 2:
                 logger.warning("%s:%d skipped: need token,valence", path, lineno)

@@ -3,8 +3,8 @@
 Parses arrive in a CoNLL-U subset: blocks separated by blank lines, each
 preceded by a `# tweet_id = <id>` comment, rows of six tab-separated columns
 ID, FORM, LEMMA, UPOS, HEAD, DEPREL. Exactly one row per block has HEAD 0.
-Invalid blocks are skipped with a named diagnostic; valid ones round-trip
-byte-identically through :func:`serialize_parses`.
+Invalid or undecodable blocks are skipped with a named diagnostic; valid ones
+round-trip byte-identically through :func:`serialize_parses`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .errors import NOT_UTF8, open_lines, undecodable
 from .lexstats import tfidf
 
 logger = logging.getLogger(__name__)
@@ -113,7 +114,7 @@ def _validate_block(rows: list[ParseNode]) -> str | None:
 def load_parses(path) -> list[DependencyTree]:
     """Read dependency trees, skipping invalid blocks with a diagnostic.
     Several blocks may share one tweet id (multi-sentence tweets)."""
-    with open(path, encoding="utf-8") as fh:
+    with open_lines(path) as fh:
         lines = fh.read().split("\n")
 
     trees: list[DependencyTree] = []
@@ -141,6 +142,9 @@ def load_parses(path) -> list[DependencyTree]:
         if not line.strip():
             flush()
             block_start = lineno + 1
+            continue
+        if undecodable(line):
+            broken = broken or NOT_UTF8
             continue
         if line.startswith("#"):
             comment = line[1:].strip()

@@ -16,12 +16,16 @@ frozen, hashable inputs, so a cached result equals a fresh one.
 from __future__ import annotations
 
 import functools
+import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
 from . import porter
+from .errors import iter_lines
+
+logger = logging.getLogger(__name__)
 
 _URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+")
 _MENTION_RE = re.compile(r"(?<!\w)@\w+")
@@ -52,12 +56,19 @@ class TokenizedDoc:
 def normalize(text: str, config: NormalizationConfig) -> list[str]:
     """Normalize raw tweet text to a token list. Token order is preserved;
     output tokens are lowercase, alphabetic, and at least two characters."""
+    return _tokens(text, config, frozenset())
+
+
+def _tokens(text: str, config: NormalizationConfig, banned: frozenset[str]) -> list[str]:
+    """:func:`normalize`, dropping `banned` echo terms before the stem step: one stem per word."""
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = text.replace("#", "")
     text = text.casefold()
     tokens = [t for t in _LETTER_RUN_RE.findall(text) if len(t) >= MIN_TOKEN_LEN]
     tokens = [t for t in tokens if t not in config.stopwords]
+    if banned:
+        tokens = _drop_echo(tokens, banned)
     if config.stem:
         tokens = [porter.stem(t) for t in tokens]
     return tokens
@@ -66,12 +77,16 @@ def normalize(text: str, config: NormalizationConfig) -> list[str]:
 def tokenize_tweets(tweets: Iterable, config: NormalizationConfig, taxonomy,
                     exclusions: Iterable[str] = ()) -> list[TokenizedDoc]:
     """The one path from tweets to model and lexicon tokens: one
-    :class:`TokenizedDoc` per tweet, in order, normalized and then cleared of
-    category-echo terms (:func:`filter_category_echo`), so no analysis reads
-    the hashtags that define its groups."""
+    :class:`TokenizedDoc` of :func:`echo_free_tokens` per tweet, in order, so
+    no analysis reads the hashtags that define its groups."""
     banned = _echo_terms(taxonomy, frozenset(exclusions))
-    return [TokenizedDoc(t.id, tuple(_drop_echo(normalize(t.text, config), banned)))
-            for t in tweets]
+    return [TokenizedDoc(t.id, tuple(_tokens(t.text, config, banned))) for t in tweets]
+
+
+def echo_free_tokens(text: str, config: NormalizationConfig, taxonomy,
+                     exclusions: Iterable[str] = ()) -> list[str]:
+    """:func:`normalize` minus category-echo terms (:func:`filter_category_echo`)."""
+    return _tokens(text, config, _echo_terms(taxonomy, frozenset(exclusions)))
 
 
 def split_tag(tag: str) -> list[str]:
@@ -123,20 +138,15 @@ def _drop_echo(tokens: Iterable[str], banned: frozenset[str]) -> list[str]:
 def load_wordlist(path) -> frozenset[str]:
     """Read one casefolded word per line; blank lines and '#' comments skipped."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            w = line.strip()
-            if not w or w.startswith("#"):
-                continue
+    for _, line in iter_lines(path, logger):
+        w = line.strip()
+        if not w.startswith("#"):
             words.add(w.casefold())
     return frozenset(words)
 
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
-    text = resources.files("tagtopics").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(
-        w.casefold()
-        for w in (line.strip() for line in text.splitlines())
-        if w and not w.startswith("#")
-    )
+    path = resources.files("tagtopics").joinpath("data/stopwords.txt")
+    with resources.as_file(path) as p:
+        return load_wordlist(p)

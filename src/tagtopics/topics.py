@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._gibbs import run_sweep
-from .errors import DataError
+from .corpus import category_order
+from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
 
 logger = logging.getLogger(__name__)
@@ -71,17 +72,7 @@ class SeedSpec:
 
     @classmethod
     def from_json_file(cls, path, unseeded: int = DEFAULT_UNSEEDED) -> "SeedSpec":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid seed JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: seed file must map category -> word list")
-        for name, words in obj.items():
-            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-                raise DataError(f"{path}: seeds for {name!r} must be a list of strings")
-        return cls.from_mapping(obj, unseeded=unseeded)
+        return cls.from_mapping(read_string_lists(path, "seed"), unseeded=unseeded)
 
 
 @dataclass
@@ -452,18 +443,11 @@ def derive_gold(
     tweets in this corpus (ties by taxonomy order), `priority` picks the
     member category earliest in taxonomy order, `exclude_multi` drops tweets
     with more than one category. Tweets with no category are always dropped.
-    `categories` supplies the taxonomy order; names missing from it sort
-    after it, alphabetically.
+    Taxonomy order is :func:`corpus.category_order` of `categories`.
     """
     if policy not in ("rarest", "priority", "exclude_multi"):
         raise ValueError(f"unknown gold policy: {policy!r}")
-    seen: set[str] = set()
-    for cats in membership.values():
-        seen.update(cats)
-    if categories is None:
-        order = sorted(seen)
-    else:
-        order = list(categories) + sorted(seen - set(categories))
+    order = category_order(membership, categories)
     rank = {name: i for i, name in enumerate(order)}
 
     sizes: dict[str, int] = {name: 0 for name in order}
@@ -559,12 +543,8 @@ def load_model(path) -> SeededLdaModel:
     type-checked; the model then checks its ids and hyperparameters as it
     does for :func:`train` and counts its tables from the assignments.
     Version 1 files, which also stored the count tables, load only if those
-    equal the counted ones. Any malformed payload raises DataError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid model JSON: {exc}") from exc
+    equal the counted ones. Any malformed file or payload raises DataError."""
+    payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
     if payload.get("version") not in (1, _FORMAT_VERSION):

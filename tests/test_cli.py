@@ -444,6 +444,88 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def latin1(name: str, word: bytes) -> bytes:
+    """Fixture `name` with a Latin-1 byte, which is not UTF-8, after the
+    first `word`."""
+    data = (DATA / name).read_bytes()
+    assert word in data
+    return data.replace(word, word + b"\xe9", 1)
+
+
+DEEP = b"[" * 100_000
+
+
+class TestMalformedInputFiles:
+    """Every input file is read by one rule: a JSON document that does not
+    decode or parse is rejected whole, a line file skips the bad record."""
+
+    def run_with(self, tmp_path, command, target, content):
+        """Run `command` on the fixture inputs, with `content` as the file a
+        flag names or, for a name without dashes, in the output directory."""
+        out = tmp_path / "out"
+        out.mkdir()
+        path = tmp_path / "input" if target.startswith("--") else out / target
+        path.write_bytes(content)
+        argv = [command, *BASE, "--seed-file", str(DATA / "seeds.json"),
+                "--iters", "2", "--out", str(out)]
+        return run(*argv, *([target, str(path)] if target.startswith("--") else [])), path
+
+    @pytest.mark.parametrize("command, target, content, code", [
+        pytest.param("trends", "--taxonomy", latin1("taxonomy.json", b"#heatwave"), 2,
+                     id="taxonomy-bytes"),
+        pytest.param("trends", "--taxonomy", DEEP, 2, id="taxonomy-deep"),
+        pytest.param("topics-train", "--seed-file", latin1("seeds.json", b"storm"), 2,
+                     id="seeds-bytes"),
+        pytest.param("trends", "--config", b'{"out": "caf\xe9"}', 1, id="config-bytes"),
+        pytest.param("trends", "--config", DEEP, 1, id="config-deep"),
+        pytest.param("topics-classify", "model.json", b'{"vocabulary": ["caf\xe9"]}', 2,
+                     id="model-bytes"),
+        pytest.param("topics-classify", "model.json", DEEP, 2, id="model-deep"),
+        pytest.param("report", "report.json", b'{"accuracy": 0.5, "macro"', 2,
+                     id="report-truncated"),
+        pytest.param("report", "report.json", b"[1]", 2, id="report-not-object"),
+        pytest.param("report", "report.json", b'{"macro": [1]}', 2, id="report-macro-list"),
+    ])
+    def test_bad_document_rejected_whole(self, tmp_path, capsys, command, target, content,
+                                         code):
+        exit_code, path = self.run_with(tmp_path, command, target, content)
+        assert exit_code == code
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if line.startswith("tagtopics:")]
+        assert str(path) in line
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, target, content, where", [
+        pytest.param("sentiment", "--scores", latin1("scores.jsonl", b'"t03'), "3 skipped",
+                     id="scores-bytes"),
+        pytest.param("sentiment", "--scores", (DATA / "scores.jsonl").read_bytes() + DEEP,
+                     "13 skipped", id="scores-deep"),
+        pytest.param("sentiment", "--scores", b'{"id": "t01", "label": []}\n', "1 skipped",
+                     id="scores-list-label"),
+        pytest.param("sentiment", "--lexicon", b"token,valence\ngreat,0.8\ncaf\xe9,0.5\n",
+                     "3 skipped", id="lexicon-bytes"),
+        pytest.param("words", "--stopwords", latin1("stopwords_small.txt", b"\nthe"),
+                     "6 skipped", id="stopwords-bytes"),
+        pytest.param("words", "--exclusions", latin1("exclusions.txt", b"downtown"),
+                     "2 skipped", id="exclusions-bytes"),
+        pytest.param("verbs", "--parses", latin1("parses.conllu", b"\tdeal"),
+                     "1 block skipped", id="parses-bytes"),
+        pytest.param("topics-eval", "--predictions",
+                     b"id,category\nt01,Music\nt02,Mus\xe9ic\nt03,Sports\n", "3 skipped",
+                     id="predictions-bytes"),
+        pytest.param("topics-eval", "--predictions", b"id,category\nt01,Music\nt02\n",
+                     "3 skipped", id="predictions-short-row"),
+    ])
+    def test_bad_record_skipped_with_one_warning(self, tmp_path, capsys, caplog, command,
+                                                 target, content, where):
+        with caplog.at_level("WARNING"):
+            code, path = self.run_with(tmp_path, command, target, content)
+        assert code == 0
+        assert "tagtopics:" not in capsys.readouterr().err
+        (record,) = caplog.records
+        assert f"{path}:{where}: " in record.getMessage()
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, **overrides):
         payload = {

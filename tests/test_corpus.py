@@ -3,6 +3,7 @@
 import json
 import tempfile
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -25,8 +26,12 @@ from tagtopics.corpus import (
     trend_series,
 )
 from tagtopics.errors import DataError
+from tagtopics.sentiment import ingest_scores, load_valence_lexicon
+from tagtopics.syntax import load_parses
+from tagtopics.textprep import load_wordlist
 
 DATA = Path(__file__).parent / "data"
+PACKAGE_DATA = Path(corpus.__file__).parent / "data"
 
 
 def reference_hashtags(text: str) -> list[str]:
@@ -185,6 +190,15 @@ class TestCorpusLines:
         (record,) = caplog.records
         assert "edge.jsonl:1 skipped: timestamp out of range" in record.getMessage()
 
+    def test_csv_warning_names_the_file_line(self, tmp_path, caplog):
+        p = tmp_path / "gap.csv"
+        p.write_text("id,created_at,text\n\nt1,2021-06-01T09:00:00Z,hi\nt2,noon,x\n",
+                     encoding="utf-8")
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            assert [t.id for t in load_corpus(p, fmt="csv")] == ["t1"]
+        (record,) = caplog.records
+        assert "gap.csv:4 skipped" in record.getMessage()
+
     def test_deeply_nested_line_skipped(self, tmp_path, caplog):
         p = tmp_path / "deep.jsonl"
         p.write_text("[" * 100_000 + "\n", encoding="utf-8")
@@ -205,18 +219,33 @@ class TestCorpusLines:
             tweets = load_corpus(path)
         assert len(tweets) + warning.call_count == 1
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_non_utf8_line_skipped_others_load(self, tmp_path, caplog, fmt):
-        p = tmp_path / f"latin1.{fmt}"
-        lines = (DATA / f"corpus.{fmt}").read_bytes().splitlines(keepends=True)
-        bad = 2 if fmt == "jsonl" else 3  # t02, after the CSV header
-        lines[bad - 1] = lines[bad - 1].replace(b"New album", b"Nouvel caf\xe9 album")
-        p.write_bytes(b"".join(lines))
-        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
-            tweets = load_corpus(p, fmt=fmt)
-        assert [t.id for t in tweets] == [f"t{i:02d}" for i in range(1, 13) if i != 2]
+    # every reader of a line or record file; line `bad` gets a Latin-1 byte
+    # for its last "e", which spoils the record on lines first..last
+    @pytest.mark.parametrize("load, source, bad, first, last", [
+        pytest.param(load_corpus, DATA / "corpus.jsonl", 2, 2, 2, id="jsonl"),
+        pytest.param(partial(load_corpus, fmt="csv"), DATA / "corpus.csv", 3, 3, 3, id="csv"),
+        pytest.param(ingest_scores, DATA / "scores.jsonl", 2, 2, 2, id="scores"),
+        pytest.param(load_valence_lexicon, PACKAGE_DATA / "valence.csv", 3, 3, 3, id="lexicon"),
+        pytest.param(load_wordlist, DATA / "stopwords_small.txt", 6, 6, 6, id="wordlist"),
+        pytest.param(load_parses, DATA / "parses.conllu", 3, 1, 5, id="parses"),
+    ])
+    def test_non_utf8_line_skipped_others_load(self, tmp_path, caplog, load, source, bad,
+                                               first, last):
+        lines = source.read_bytes().splitlines(keepends=True)
+        spoiled = tmp_path / f"latin1{source.suffix}"
+        head, _, tail = lines[bad - 1].rpartition(b"e")
+        spoiled.write_bytes(b"".join(lines[:bad - 1] + [head + b"\xe9" + tail] + lines[bad:]))
+        without = tmp_path / f"without{source.suffix}"
+        without.write_bytes(b"".join(lines[:first - 1] + lines[last:]))
+        with caplog.at_level("WARNING"):
+            loaded = load(spoiled)
         (record,) = caplog.records
-        assert f"latin1.{fmt}:{bad} skipped: not valid UTF-8" in record.getMessage()
+        assert f"latin1{source.suffix}:{first} " in record.getMessage()
+        assert record.getMessage().endswith("skipped: not valid UTF-8")
+        assert record.name == getattr(load, "func", load).__module__
+        caplog.clear()
+        assert loaded == load(without)
+        assert not caplog.records
 
 
 class TestTaxonomy:

@@ -164,13 +164,14 @@ class TestEchoCache:
         assert isinstance(textprep._echo_terms(TAXONOMY, frozenset()), frozenset)
 
 
+class FakeTweet:
+    def __init__(self, id, text):
+        self.id = id
+        self.text = text
+
+
 class TestTokenizeTweets:
     def test_order_and_ids(self):
-        class FakeTweet:
-            def __init__(self, id, text):
-                self.id = id
-                self.text = text
-
         tweets = [FakeTweet("a", "first tweet"), FakeTweet("b", "second"),
                   FakeTweet("c", "#StayHome jobs report #Covid19")]
         assert tokenize_tweets(tweets, RAW, TAXONOMY, exclusions={"report"}) == [
@@ -178,6 +179,19 @@ class TestTokenizeTweets:
             TokenizedDoc("b", ("second",)),
             TokenizedDoc("c", ()),  # tag bodies, "jobs" (stem job) and the exclusion
         ]
+
+    def test_echo_terms_dropped_before_the_stem_step(self, monkeypatch):
+        text = "Happy families stay happier at home with jobs #StayHome"
+        tweets = [FakeTweet("a", text)]
+        tokenize_tweets(tweets, STEMMED, TAXONOMY)  # builds the echo set
+        calls = []
+        stem = porter.stem
+        monkeypatch.setattr(porter, "stem", lambda word: calls.append(word) or stem(word))
+        (doc,) = tokenize_tweets(tweets, STEMMED, TAXONOMY)
+        # the stemmer sees words, never its own output
+        assert set(calls) <= set(normalize(text, RAW))
+        assert doc.tokens == tuple(textprep.echo_free_tokens(text, STEMMED, TAXONOMY))
+        assert doc.tokens == tuple(filter_category_echo(normalize(text, STEMMED), TAXONOMY))
 
 
 class TestWordlists:
