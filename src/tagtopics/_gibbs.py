@@ -237,7 +237,7 @@ def _build() -> Path:
     try:
         subprocess.run(
             [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
-            check=True, capture_output=True, text=True, timeout=120,
+            check=True, capture_output=True, encoding="utf-8", errors="replace", timeout=120,
         )
         os.replace(tmp, target)
     finally:

@@ -35,7 +35,7 @@ from . import (
     textprep,
     topics as topics_mod,
 )
-from .errors import SKIPPED, DataError, iter_csv, open_lines, read_json
+from .errors import SKIPPED, DataError, iter_csv, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -479,11 +479,6 @@ def _cmd_topics_eval(cfg: RunConfig) -> None:
     )
 
 
-def _csv_rows(path: Path) -> int:
-    with open_lines(path, newline="") as fh:
-        return max(0, sum(1 for _ in csv.reader(fh)) - 1)
-
-
 def _cmd_report(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     summary: dict[str, object] = {}
@@ -491,7 +486,7 @@ def _cmd_report(cfg: RunConfig) -> None:
                  "verbs.csv", "pairs.csv", "assignments.csv"):
         path = out / name
         if path.exists():
-            summary[name] = {"rows": _csv_rows(path)}
+            summary[name] = {"rows": sum(1 for _ in iter_csv(path, (), logger))}
     model_path = out / "model.json"
     if model_path.exists():
         model = topics_mod.load_model(model_path)

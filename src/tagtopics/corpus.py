@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError, iter_csv, iter_jsonl, read_string_lists
+from .errors import SKIPPED, DataError, iter_csv, iter_jsonl, read_string_lists
 
 logger = logging.getLogger(__name__)
 
@@ -119,10 +119,10 @@ def load_corpus(path, fmt: str = "jsonl") -> list[Tweet]:
         try:
             tweet = _make_tweet(obj.get("id"), obj.get("created_at"), obj.get("text"))
         except ValueError as exc:
-            logger.warning("%s:%d skipped: %s", path, lineno, exc)
+            logger.warning(SKIPPED, path, lineno, exc)
             continue
         if tweet.id in seen:
-            logger.warning("%s:%d skipped: duplicate id %r", path, lineno, tweet.id)
+            logger.warning(SKIPPED, path, lineno, f"duplicate id {tweet.id!r}")
             continue
         seen.add(tweet.id)
         tweets.append(tweet)

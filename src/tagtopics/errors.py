@@ -2,7 +2,8 @@
 if it is not UTF-8, not JSON or nested too deeply; a line or record file opened
 by :func:`open_lines` skips each :func:`undecodable` or unparsable line, row or
 parse block with one warning (:data:`SKIPPED`, FILE:LINE) on its reader's logger.
-"""
+A CSV row that the csv module rejects is skipped like an undecodable one; a
+leading UTF-8 byte order mark is not read as data."""
 
 from __future__ import annotations
 
@@ -10,12 +11,16 @@ import csv
 import json
 import logging
 import re
+from contextlib import suppress
+from itertools import chain, zip_longest
 from typing import IO, Iterable, Iterator
 
 SKIPPED = "%s:%d skipped: %s"  # logger.warning(SKIPPED, path, lineno, reason)
 NOT_UTF8 = "not valid UTF-8"
 # the code points that errors="surrogateescape" maps bytes that are not UTF-8 to
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+# runs of characters that cannot change where a CSV record ends
+_CSV_PLAIN_RE = re.compile('[^",\r\n]+')
 
 
 class DataError(Exception):
@@ -26,7 +31,7 @@ class DataError(Exception):
 def read_json(path, what: str):
     """The JSON document at `path`; DataError names `what`, e.g. "taxonomy"."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: invalid {what} JSON: {exc}") from exc
@@ -45,7 +50,7 @@ def read_string_lists(path, what: str) -> dict[str, list[str]]:
 
 def open_lines(path, newline: str | None = None) -> IO[str]:
     """`path` as UTF-8 text in which a byte that is not UTF-8 spoils its line, not the read."""
-    return open(path, encoding="utf-8", errors="surrogateescape", newline=newline)
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
 
 
 def undecodable(text: str) -> bool:
@@ -81,17 +86,41 @@ def iter_jsonl(path, logger: logging.Logger) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def iter_csv(path, columns: Iterable[str], logger: logging.Logger) -> Iterator[tuple[int, dict]]:
-    """(line number, row as a dict) per CSV row of `path`; an undecodable row
-    is skipped with a warning on `logger`. DataError if the header lacks a column."""
+def iter_rows(path, logger: logging.Logger) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) per CSV row of `path` that is not blank; a row that
+    is undecodable or that the csv module rejects is skipped with a warning."""
     with open_lines(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: CSV header is missing columns {sorted(missing)}")
-        for row in reader:  # line_num: the row's last line in the file
-            cells = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
-            if any(map(undecodable, cells)):
-                logger.warning(SKIPPED, path, reader.line_num, NOT_UTF8)
+        record: list[str] = []  # the lines of the row being read
+        reader = csv.reader(record.append(line) or line for line in fh)
+        lineno = 0  # the last line read, where the row ends
+        while True:
+            record.clear()
+            try:
+                cells = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                # read the rejected row to its end, lest its rest be read as rows
+                rest = csv.reader(_CSV_PLAIN_RE.sub("x", line) for line in chain(record, fh))
+                with suppress(csv.Error):
+                    next(rest, None)
+                lineno += rest.line_num
+                logger.warning(SKIPPED, path, lineno, f"invalid CSV: {exc}")
                 continue
-            yield reader.line_num, row
+            lineno += len(record)
+            if any(map(undecodable, cells)):
+                logger.warning(SKIPPED, path, lineno, NOT_UTF8)
+            elif len(cells) > 1 or cells and cells[0].strip():  # not blank
+                yield lineno, cells
+
+
+def iter_csv(path, columns: Iterable[str], logger: logging.Logger) -> Iterator[tuple[int, dict]]:
+    """(line number, row as a dict keyed by the header, the first row) per other
+    row of `path`, paired as by zip_longest. DataError if the header lacks a column."""
+    rows = iter_rows(path, logger)
+    _, header = next(rows, (0, []))
+    missing = set(columns) - set(header)
+    if missing:
+        raise DataError(f"{path}: CSV header is missing columns {sorted(missing)}")
+    for lineno, cells in rows:
+        yield lineno, dict(zip_longest(header, cells))

@@ -11,16 +11,15 @@ Fractions until rendering).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import category_order
-from .errors import NOT_UTF8, SKIPPED, iter_jsonl, open_lines, undecodable
+from .errors import SKIPPED, iter_jsonl, iter_rows
 
 logger = logging.getLogger(__name__)
 
@@ -85,10 +84,10 @@ def ingest_scores(path) -> dict[str, SentimentLabel]:
         rec_id = obj.get("id")
         label = obj.get("label")
         if not isinstance(rec_id, str) or not rec_id:
-            logger.warning("%s:%d skipped: missing id", path, lineno)
+            logger.warning(SKIPPED, path, lineno, "missing id")
             continue
         if not isinstance(label, str) or label not in _LABEL_BY_VALUE:
-            logger.warning("%s:%d skipped: unknown label %r", path, lineno, label)
+            logger.warning(SKIPPED, path, lineno, f"unknown label {label!r}")
             continue
         if rec_id in out:
             logger.warning("%s:%d duplicate id %r, keeping the later record",
@@ -137,37 +136,28 @@ def load_valence_lexicon(path) -> dict[str, float]:
     parse as a number is treated as a header; other bad rows are skipped with
     a diagnostic. Valences outside [-1, 1] are rejected."""
     out: dict[str, float] = {}
-    with open_lines(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if any(map(undecodable, row)):
-                logger.warning(SKIPPED, path, lineno, NOT_UTF8)
-                continue
-            if len(row) < 2:
-                logger.warning("%s:%d skipped: need token,valence", path, lineno)
-                continue
-            token = row[0].strip().casefold()
-            try:
-                valence = float(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                logger.warning("%s:%d skipped: bad valence %r", path, lineno, row[1])
-                continue
-            if not token:
-                logger.warning("%s:%d skipped: empty token", path, lineno)
-                continue
-            if not -1.0 <= valence <= 1.0:
-                logger.warning("%s:%d skipped: valence %r outside [-1, 1]",
-                               path, lineno, row[1])
-                continue
-            out[token] = valence
+    for lineno, row in iter_rows(path, logger):
+        if len(row) < 2:
+            logger.warning(SKIPPED, path, lineno, "need token,valence")
+            continue
+        token = row[0].strip().casefold()
+        try:
+            valence = float(row[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            logger.warning(SKIPPED, path, lineno, f"bad valence {row[1]!r}")
+            continue
+        if not token:
+            logger.warning(SKIPPED, path, lineno, "empty token")
+            continue
+        if not -1.0 <= valence <= 1.0:
+            logger.warning(SKIPPED, path, lineno, f"valence {row[1]!r} outside [-1, 1]")
+            continue
+        out[token] = valence
     return out
 
 
 def default_valence_lexicon() -> dict[str, float]:
     """The small general-purpose valence lexicon shipped with the package."""
-    path = resources.files("tagtopics").joinpath("data/valence.csv")
-    with resources.as_file(path) as p:
-        return load_valence_lexicon(p)
+    return load_valence_lexicon(Path(__file__).with_name("data") / "valence.csv")

@@ -111,41 +111,14 @@ def _validate_block(rows: list[ParseNode]) -> str | None:
     return None
 
 
-def load_parses(path) -> list[DependencyTree]:
-    """Read dependency trees, skipping invalid blocks with a diagnostic.
-    Several blocks may share one tweet id (multi-sentence tweets)."""
-    with open_lines(path) as fh:
-        lines = fh.read().split("\n")
-
-    trees: list[DependencyTree] = []
-    block_start = 1
+def _parse_block(lines: list[str]) -> DependencyTree | str | None:
+    """The tree in one block of lines, a reason to skip the block, or None
+    for a block that holds only comments."""
     tweet_id: str | None = None
     rows: list[ParseNode] = []
-    broken: str | None = None
-
-    def flush() -> None:
-        nonlocal tweet_id, rows, broken
-        if tweet_id is None and not rows and broken is None:
-            return  # nothing buffered
-        reason = broken
-        if reason is None and tweet_id is None:
-            reason = "missing tweet_id comment"
-        if reason is None:
-            reason = _validate_block(rows)
-        if reason is None:
-            trees.append(DependencyTree(tweet_id=tweet_id, nodes=tuple(rows)))
-        else:
-            logger.warning("%s:%d block skipped: %s", path, block_start, reason)
-        tweet_id, rows, broken = None, [], None
-
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            flush()
-            block_start = lineno + 1
-            continue
+    for line in lines:
         if undecodable(line):
-            broken = broken or NOT_UTF8
-            continue
+            return NOT_UTF8
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("tweet_id") and "=" in comment:
@@ -153,18 +126,34 @@ def load_parses(path) -> list[DependencyTree]:
             continue
         cols = line.split("\t")
         if len(cols) != 6:
-            broken = broken or f"expected 6 columns, got {len(cols)}"
-            continue
+            return f"expected 6 columns, got {len(cols)}"
         try:
-            node = ParseNode(
-                index=int(cols[0]), form=cols[1], lemma=cols[2],
-                pos=cols[3], head=int(cols[4]), rel=cols[5],
-            )
+            rows.append(ParseNode(int(cols[0]), *cols[1:4], int(cols[4]), cols[5]))
         except ValueError:
-            broken = broken or "non-integer ID or HEAD"
+            return "non-integer ID or HEAD"
+    if tweet_id is None:
+        return "missing tweet_id comment" if rows else None
+    return _validate_block(rows) or DependencyTree(tweet_id, tuple(rows))
+
+
+def load_parses(path) -> list[DependencyTree]:
+    """Read dependency trees, skipping invalid blocks with a diagnostic.
+    Several blocks may share one tweet id (multi-sentence tweets)."""
+    with open_lines(path) as fh:
+        lines = fh.read().split("\n")
+    lines.append("")  # the last block ends here
+
+    trees: list[DependencyTree] = []
+    start = 0  # index of the current block's first line
+    for end, line in enumerate(lines):
+        if line.strip():
             continue
-        rows.append(node)
-    flush()
+        block = _parse_block(lines[start:end])
+        if isinstance(block, DependencyTree):
+            trees.append(block)
+        elif block is not None:
+            logger.warning("%s:%d block skipped: %s", path, start + 1, block)
+        start = end + 1
     return trees
 
 
@@ -173,13 +162,10 @@ def serialize_parses(trees: Iterable[DependencyTree]) -> str:
     blank line after every block."""
     chunks: list[str] = []
     for tree in trees:
-        lines = [f"# tweet_id = {tree.tweet_id}"]
-        for node in tree.nodes:
-            lines.append("\t".join(
-                (str(node.index), node.form, node.lemma,
-                 node.pos, str(node.head), node.rel)
-            ))
-        chunks.append("\n".join(lines) + "\n\n")
+        chunks.append(f"# tweet_id = {tree.tweet_id}\n")
+        chunks.extend(f"{n.index}\t{n.form}\t{n.lemma}\t{n.pos}\t{n.head}\t{n.rel}\n"
+                      for n in tree.nodes)
+        chunks.append("\n")
     return "".join(chunks)
 
 

@@ -19,7 +19,7 @@ import functools
 import logging
 import re
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Iterable
 
 from . import porter
@@ -147,6 +147,4 @@ def load_wordlist(path) -> frozenset[str]:
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
-    path = resources.files("tagtopics").joinpath("data/stopwords.txt")
-    with resources.as_file(path) as p:
-        return load_wordlist(p)
+    return load_wordlist(Path(__file__).with_name("data") / "stopwords.txt")

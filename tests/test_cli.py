@@ -453,6 +453,7 @@ def latin1(name: str, word: bytes) -> bytes:
 
 
 DEEP = b"[" * 100_000
+HUGE = b"x" * 200_000  # longer than the csv module's field size limit
 
 
 class TestMalformedInputFiles:
@@ -466,7 +467,7 @@ class TestMalformedInputFiles:
         out.mkdir()
         path = tmp_path / "input" if target.startswith("--") else out / target
         path.write_bytes(content)
-        argv = [command, *BASE, "--seed-file", str(DATA / "seeds.json"),
+        argv = [*command.split(), *BASE, "--seed-file", str(DATA / "seeds.json"),
                 "--iters", "2", "--out", str(out)]
         return run(*argv, *([target, str(path)] if target.startswith("--") else [])), path
 
@@ -515,6 +516,19 @@ class TestMalformedInputFiles:
                      id="predictions-bytes"),
         pytest.param("topics-eval", "--predictions", b"id,category\nt01,Music\nt02\n",
                      "3 skipped", id="predictions-short-row"),
+        pytest.param("trends --format csv", "--corpus",
+                     b"id,created_at,text\nt1,2021-06-01T09:00:00Z,#heatwave\n"
+                     b"t2,2021-06-01T09:00:00Z," + HUGE + b"\n", "3 skipped",
+                     id="corpus-csv-huge-field"),
+        pytest.param("sentiment", "--lexicon", b"token,valence\ngreat,0.8\nbig," + HUGE + b"\n",
+                     "3 skipped", id="lexicon-huge-field"),
+        pytest.param("topics-eval", "--predictions",
+                     b"id,category\nt01,Music\nt02," + HUGE + b"\nt03,Sports\n", "3 skipped",
+                     id="predictions-huge-field"),
+        # the rejected row ends on line 4; its second line is not read as a row
+        pytest.param("topics-eval", "--predictions",
+                     b'id,category\nt01,Music\nt02,"' + HUGE + b'\nt04,Music"\nt03,Sports\n',
+                     "4 skipped", id="predictions-huge-multiline-field"),
     ])
     def test_bad_record_skipped_with_one_warning(self, tmp_path, capsys, caplog, command,
                                                  target, content, where):

@@ -1,5 +1,7 @@
 """Corpus loading, hashtag extraction, category assignment, trend series."""
 
+import ast
+import codecs
 import json
 import tempfile
 from datetime import date, datetime, timedelta, timezone
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tagtopics import corpus
+from tagtopics import cli, corpus, sentiment
 from tagtopics.corpus import (
     CategoryTaxonomy,
     Tweet,
@@ -174,6 +176,23 @@ BYTE_LINES = LINE_BYTES | st.builds(
     lambda line, at, junk: line[:at] + junk + line[at:],
     LINES.map(lambda s: s.encode("utf-8")), st.integers(0, 200), LINE_BYTES,
 )
+# CSV cells with quotes, commas, line breaks, NUL, bytes that are not UTF-8
+# (written through the surrogates that errors="surrogateescape" maps them to)
+# and, rarely, more characters than the csv module's field size limit
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",))
+                    | st.sampled_from('",\r\n\x00')
+                    | st.integers(0x80, 0xFF).map(lambda b: chr(0xDC00 + b)), max_size=20)
+HUGE_CELLS = st.builds(lambda head, tail: head + "x" * 131_073 + tail, CELL_TEXT, CELL_TEXT)
+CSV_ROWS = st.lists(st.tuples(CELL_TEXT | HUGE_CELLS, st.booleans()), min_size=1, max_size=4)
+
+
+def csv_row(cells: list[tuple[str, bool]]) -> str:
+    """One CSV row; a cell is quoted when drawn so or when it must be."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if quote or any(c in cell for c in '",\r\n')
+        else cell
+        for cell, quote in cells
+    )
 
 
 class TestCorpusLines:
@@ -246,6 +265,60 @@ class TestCorpusLines:
         caplog.clear()
         assert loaded == load(without)
         assert not caplog.records
+
+
+    @pytest.mark.parametrize("load, source", [
+        pytest.param(load_corpus, DATA / "corpus.jsonl", id="jsonl"),
+        pytest.param(partial(load_corpus, fmt="csv"), DATA / "corpus.csv", id="csv"),
+        pytest.param(load_taxonomy, DATA / "taxonomy.json", id="taxonomy"),
+        pytest.param(load_valence_lexicon, PACKAGE_DATA / "valence.csv", id="lexicon"),
+        pytest.param(load_parses, DATA / "parses.conllu", id="parses"),
+    ])
+    def test_leading_bom_is_not_data(self, tmp_path, caplog, load, source):
+        with_bom = tmp_path / source.name
+        with_bom.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        with caplog.at_level("WARNING"):
+            assert load(with_bom) == load(source)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("load, header, module", [
+        pytest.param(partial(load_corpus, fmt="csv"), "id,created_at,text", corpus,
+                     id="corpus"),
+        pytest.param(load_valence_lexicon, "token,valence", sentiment, id="lexicon"),
+        pytest.param(cli._read_assignments, "id,category", cli, id="predictions"),
+    ])
+    @settings(max_examples=150, deadline=None)
+    @given(cells=CSV_ROWS, newline=st.sampled_from(["\n", "\r\n"]))
+    def test_any_csv_row_loads_or_is_skipped_with_one_warning(self, load, header, module,
+                                                              cells, newline):
+        # a blank row is passed over silently
+        assume(len(cells) > 1 or cells[0][0].strip())
+        text = header + newline + csv_row(cells) + newline
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(module.logger, "warning") as warning:
+            path = Path(tmp) / "one.csv"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            loaded = load(path)
+        assert len(loaded) + warning.call_count == 1
+
+
+def test_only_errors_module_parses_csv_or_json():
+    """One module reads every CSV and JSON input, so one rule says what a
+    malformed record does."""
+    parsers = {("csv", "reader"), ("csv", "DictReader"), ("json", "load"), ("json", "loads")}
+    found = []
+    for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}.{n}" for m, n in names if (m, n) in parsers]
+    assert found == []
 
 
 class TestTaxonomy:

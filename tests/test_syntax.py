@@ -60,6 +60,21 @@ class TestLoadParses:
         assert "expected 6 columns" in joined
         assert "its own head" in joined
 
+    def test_comment_only_block_passed_over(self, tmp_path, caplog):
+        path = tmp_path / "notes.conllu"
+        path.write_text(
+            "# sent_id = 1\n# text = we deal\n\n"
+            "# tweet_id = x\n1\tdeal\tdeal\tVERB\t0\troot\n\n"
+            "# note\n1\tgo\tgo\tVERB\t0\troot\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING", logger="tagtopics.syntax"):
+            trees = load_parses(path)
+        assert [t.tweet_id for t in trees] == ["x"]
+        (record,) = caplog.records
+        assert record.getMessage().endswith(
+            "notes.conllu:7 block skipped: missing tweet_id comment")
+
     def test_inline_rejections(self, tmp_path, caplog):
         cases = {
             "no root": "# tweet_id = x\n1\ta\ta\tNOUN\t2\tdep\n2\tb\tb\tNOUN\t1\tdep\n",
