@@ -11,7 +11,6 @@ import csv
 import json
 import logging
 import re
-from contextlib import suppress
 from itertools import chain, zip_longest
 from typing import IO, Iterable, Iterator
 
@@ -19,8 +18,6 @@ SKIPPED = "%s:%d skipped: %s"  # logger.warning(SKIPPED, path, lineno, reason)
 NOT_UTF8 = "not valid UTF-8"
 # the code points that errors="surrogateescape" maps bytes that are not UTF-8 to
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
-# runs of characters that cannot change where a CSV record ends
-_CSV_PLAIN_RE = re.compile('[^",\r\n]+')
 
 
 class DataError(Exception):
@@ -101,10 +98,7 @@ def iter_rows(path, logger: logging.Logger) -> Iterator[tuple[int, list[str]]]:
                 return
             except csv.Error as exc:
                 # read the rejected row to its end, lest its rest be read as rows
-                rest = csv.reader(_CSV_PLAIN_RE.sub("x", line) for line in chain(record, fh))
-                with suppress(csv.Error):
-                    next(rest, None)
-                lineno += rest.line_num
+                lineno += _csv_record_lines(chain(record, fh))
                 logger.warning(SKIPPED, path, lineno, f"invalid CSV: {exc}")
                 continue
             lineno += len(record)
@@ -112,6 +106,35 @@ def iter_rows(path, logger: logging.Logger) -> Iterator[tuple[int, list[str]]]:
                 logger.warning(SKIPPED, path, lineno, NOT_UTF8)
             elif len(cells) > 1 or cells and cells[0].strip():  # not blank
                 yield lineno, cells
+
+
+def _csv_record_lines(lines: Iterator[str]) -> int:
+    """How many of `lines` the CSV record that starts the first one spans:
+    a line break inside a quoted field does not end it. Lines are read only
+    to the record's end, and no field is too long to scan."""
+    count = 0
+    quoted = False
+    for count, line in enumerate(lines, start=1):
+        i = 0  # where a field starts, or, when quoted, where its text goes on
+        while True:
+            if quoted:
+                i = line.find('"', i) + 1
+                if not i:
+                    break  # the line break is part of the field
+                if line.startswith('"', i):  # a doubled quote is a quote
+                    i += 1
+                    continue
+                quoted = False  # the field's text after its closing quote is plain
+            elif line.startswith('"', i):
+                quoted = True
+                i += 1
+                continue
+            i = line.find(",", i) + 1
+            if not i:
+                break
+        if not quoted:
+            break
+    return count
 
 
 def iter_csv(path, columns: Iterable[str], logger: logging.Logger) -> Iterator[tuple[int, dict]]:

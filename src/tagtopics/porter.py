@@ -5,61 +5,63 @@ from the 1980 write-up in three ways: words of length <= 2 pass through
 unchanged, step 2 rewrites the ending "bli" to "ble" (not "abli" to "able"),
 and step 2 gains the rule "logi" to "log".
 
-:func:`stem` is memoized for the life of the process: it is a pure function
-of its input, so a cached result is the result a fresh computation would
-give. The cache holds one entry per distinct word stemmed, which a corpus's
-vocabulary bounds; ``stem.__wrapped__`` is the uncached function.
+The letter tests are table-driven: one ``str.translate`` spells a word as
+its consonant/vowel pattern ("c"/"v"), so the measure m is the count of "vc"
+in the pattern. Steps 2-4 take the suffixes that end in the word's last
+letter and look its ending up in one dict per suffix length, longest
+first. :func:`stem` is a plain function with no cache; the tokenizer
+(:mod:`tagtopics.textprep`) keeps one word memo, which stems each distinct
+word once.
 """
 
 from __future__ import annotations
 
-import functools
-
 _VOWELS = "aeiou"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
+class _LetterClasses(dict):
+    """A ``str.translate`` table: a vowel to "v", "y" to itself (resolved by
+    :func:`_pattern`), and every other character to "c"."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
+
+
+_CLASSES = _LetterClasses(dict.fromkeys(range(128), "c"))
+_CLASSES.update({ord(v): "v" for v in _VOWELS})
+_CLASSES[ord("y")] = "y"
+
+
+def _pattern(word: str) -> str:
+    """`word` spelled as "c" for each consonant and "v" for each vowel."""
+    pattern = word.translate(_CLASSES)
+    if "y" in pattern:
         # y is a consonant at the start or after a vowel ("toy"), a vowel
-        # after a consonant ("syzygy").
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+        # after a consonant ("syzygy"); each pass settles the first
+        # unsettled y of every run of them
+        if pattern[0] == "y":
+            pattern = "c" + pattern[1:]
+        while "y" in pattern:
+            pattern = pattern.replace("vy", "vc").replace("cy", "cv")
+    return pattern
 
 
 def _measure(stem: str) -> int:
     """The m of [C](VC)^m[V]: number of vowel-to-consonant alternations."""
-    runs: list[str] = []
-    for i in range(len(stem)):
-        t = "c" if _is_consonant(stem, i) else "v"
-        if not runs or runs[-1] != t:
-            runs.append(t)
-    return "".join(runs).count("vc")
+    return _pattern(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
-    return (
-        len(word) >= 3
-        and _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _pattern(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
@@ -104,9 +106,10 @@ def _step1c(word: str) -> str:
     return word
 
 
-# (suffix, replacement) pairs; within each group sharing a penultimate letter
-# the order matches the canonical switch, and groups never overlap because a
-# word's penultimate letter picks exactly one group.
+# (suffix, replacement) pairs in the canonical order. Where one suffix ends
+# another (ational/tional, ization/ation, ement/ment/ent), the longer comes
+# first, so trying suffixes longest first finds the rule the ordered list
+# would find.
 _STEP2_RULES = (
     ("ational", "ate"),
     ("tional", "tion"),
@@ -147,39 +150,47 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _step2(word: str) -> str:
-    for suffix, repl in _STEP2_RULES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
+def _suffix_table(rules) -> dict[str, tuple[tuple[int, dict[str, str]], ...]]:
+    """Per last letter of a suffix: (length, {suffix: replacement}) per
+    suffix length, longest first."""
+    table: dict[str, dict[int, dict[str, str]]] = {}
+    for suffix, repl in rules:
+        table.setdefault(suffix[-1], {}).setdefault(len(suffix), {})[suffix] = repl
+    return {last: tuple(sorted(by_len.items(), reverse=True)) for last, by_len in table.items()}
+
+
+_STEP2_TABLE = _suffix_table(_STEP2_RULES)
+_STEP3_TABLE = _suffix_table(_STEP3_RULES)
+_STEP4_TABLE = _suffix_table((suffix, "") for suffix in _STEP4_SUFFIXES)
+
+
+def _replace_suffix(word: str, table, min_measure: int) -> str:
+    """The first rule of `table` whose suffix ends `word`, applied when the
+    stem left before it has measure above `min_measure`."""
+    for length, rules in table.get(word[-1:], ()):
+        suffix = word[-length:]
+        repl = rules.get(suffix)
+        if repl is None:
+            continue
+        stem = word[:-length]
+        if suffix == "ion" and not stem.endswith(("s", "t")):
+            # step 4's "ion" only strips after s or t; no other suffix ends
+            # in n, so the word is left as it is
             return word
+        return stem + repl if _measure(stem) > min_measure else word
     return word
+
+
+def _step2(word: str) -> str:
+    return _replace_suffix(word, _STEP2_TABLE, 0)
 
 
 def _step3(word: str) -> str:
-    for suffix, repl in _STEP3_RULES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
-            return word
-    return word
+    return _replace_suffix(word, _STEP3_TABLE, 0)
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if suffix == "ion" and not (stem and stem[-1] in "st"):
-                # "ion" only strips after s or t; nothing later can match a
-                # word ending in n, so continuing mirrors the canonical
-                # fall-through.
-                continue
-            if _measure(stem) > 1:
-                return stem
-            return word
-    return word
+    return _replace_suffix(word, _STEP4_TABLE, 1)
 
 
 def _step5a(word: str) -> str:
@@ -197,7 +208,6 @@ def _step5b(word: str) -> str:
     return word
 
 
-@functools.cache
 def stem(word: str) -> str:
     """Stem a single lowercase word. Words of length <= 2 are returned
     unchanged. Uppercase input is lowered first."""

@@ -7,10 +7,14 @@ stopwords, then optionally Porter-stem. With stemming off the pipeline is
 idempotent; the stemmer itself is not idempotent on its own output, so the
 stemmed pipeline only guarantees determinism.
 
-Text facts are computed once per process: :func:`porter.stem` is memoized,
-and the banned set of the echo filter is built once per (taxonomy,
-exclusions) pair and reused for every tweet. Both are pure functions of
-frozen, hashable inputs, so a cached result equals a fresh one.
+Text facts are computed once per process. The banned set of the echo
+filter is built once per (taxonomy, exclusions) pair. The tokenizer keeps
+one word memo per (config, banned set): it maps each casefolded letter run
+to its output token, or to None when the run is dropped (too short, a
+stopword, an echo term, or a word whose stem is one), so each distinct word
+is checked and stemmed once. A memo holds one entry per distinct letter
+run, the vocabulary of the text it has read. Both caches hold pure
+functions of frozen, hashable inputs, so a cached result equals a fresh one.
 """
 
 from __future__ import annotations
@@ -56,22 +60,47 @@ class TokenizedDoc:
 def normalize(text: str, config: NormalizationConfig) -> list[str]:
     """Normalize raw tweet text to a token list. Token order is preserved;
     output tokens are lowercase, alphabetic, and at least two characters."""
-    return _tokens(text, config, frozenset())
+    return _tokens(text, _word_memo(config, frozenset()))
 
 
-def _tokens(text: str, config: NormalizationConfig, banned: frozenset[str]) -> list[str]:
-    """:func:`normalize`, dropping `banned` echo terms before the stem step: one stem per word."""
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = text.replace("#", "")
-    text = text.casefold()
-    tokens = [t for t in _LETTER_RUN_RE.findall(text) if len(t) >= MIN_TOKEN_LEN]
-    tokens = [t for t in tokens if t not in config.stopwords]
-    if banned:
-        tokens = _drop_echo(tokens, banned)
-    if config.stem:
-        tokens = [porter.stem(t) for t in tokens]
-    return tokens
+class _WordMemo(dict):
+    """Casefolded letter run -> output token, or None when the run is
+    dropped; a missing run is checked, and stemmed, once."""
+
+    def __init__(self, config: NormalizationConfig, banned: frozenset[str]):
+        super().__init__()
+        self.config = config
+        self.banned = banned
+
+    def __missing__(self, run: str) -> str | None:
+        self[run] = token = self._token(run)
+        return token
+
+    def _token(self, run: str) -> str | None:
+        if len(run) < MIN_TOKEN_LEN or run in self.config.stopwords or run in self.banned:
+            return None
+        if not (self.config.stem or self.banned):
+            return run
+        stemmed = porter.stem(run)  # the module attribute, so a wrapper put there sees each call
+        if stemmed in self.banned:
+            return None
+        return stemmed if self.config.stem else run
+
+
+@functools.cache
+def _word_memo(config: NormalizationConfig, banned: frozenset[str]) -> _WordMemo:
+    """The one word memo of (config, banned echo terms), for the life of the process."""
+    return _WordMemo(config, banned)
+
+
+def _tokens(text: str, memo: _WordMemo) -> list[str]:
+    """The tokens of `text` that `memo` keeps, in order."""
+    if "://" in text:  # every match of _URL_RE holds it
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:  # every match of _MENTION_RE holds it
+        text = _MENTION_RE.sub(" ", text)
+    runs = _LETTER_RUN_RE.findall(text.replace("#", "").casefold())
+    return [token for token in map(memo.__getitem__, runs) if token is not None]
 
 
 def tokenize_tweets(tweets: Iterable, config: NormalizationConfig, taxonomy,
@@ -79,14 +108,14 @@ def tokenize_tweets(tweets: Iterable, config: NormalizationConfig, taxonomy,
     """The one path from tweets to model and lexicon tokens: one
     :class:`TokenizedDoc` of :func:`echo_free_tokens` per tweet, in order, so
     no analysis reads the hashtags that define its groups."""
-    banned = _echo_terms(taxonomy, frozenset(exclusions))
-    return [TokenizedDoc(t.id, tuple(_tokens(t.text, config, banned))) for t in tweets]
+    memo = _word_memo(config, _echo_terms(taxonomy, frozenset(exclusions)))
+    return [TokenizedDoc(t.id, tuple(_tokens(t.text, memo))) for t in tweets]
 
 
 def echo_free_tokens(text: str, config: NormalizationConfig, taxonomy,
                      exclusions: Iterable[str] = ()) -> list[str]:
     """:func:`normalize` minus category-echo terms (:func:`filter_category_echo`)."""
-    return _tokens(text, config, _echo_terms(taxonomy, frozenset(exclusions)))
+    return _tokens(text, _word_memo(config, _echo_terms(taxonomy, frozenset(exclusions))))
 
 
 def split_tag(tag: str) -> list[str]:
@@ -107,14 +136,8 @@ def _echo_terms(taxonomy, exclusions: Iterable[str]) -> frozenset[str]:
     for entry in exclusions:
         terms.append(entry)
         terms.extend(entry.split())
-    out: set[str] = set()
-    for term in terms:
-        t = term.casefold().strip()
-        if not t:
-            continue
-        out.add(t)
-        out.add(porter.stem(t))
-    return frozenset(out)
+    words = {t for t in (term.casefold().strip() for term in terms) if t}
+    return frozenset(words | {porter.stem(t) for t in words})
 
 
 def filter_category_echo(
@@ -128,10 +151,7 @@ def filter_category_echo(
     its stem appears in the stemmed term set, so raw and pre-stemmed token
     streams both filter correctly. The banned set is built once per
     (taxonomy, exclusions) pair and reused by later calls."""
-    return _drop_echo(tokens, _echo_terms(taxonomy, frozenset(exclusions)))
-
-
-def _drop_echo(tokens: Iterable[str], banned: frozenset[str]) -> list[str]:
+    banned = _echo_terms(taxonomy, frozenset(exclusions))
     return [t for t in tokens if t not in banned and porter.stem(t) not in banned]
 
 

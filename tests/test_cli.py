@@ -84,20 +84,21 @@ class TestTextWorkDoneOnce:
     def test_words_builds_echo_set_once_and_stems_each_word_once(
         self, tmp_path, monkeypatch, capsys
     ):
+        # cold caches, so a word stemmed by an earlier test is stemmed here too
         textprep._echo_terms.cache_clear()
-        porter.stem.cache_clear()
-        cached = porter.stem
+        textprep._word_memo.cache_clear()
+        stem = porter.stem
         calls = []
 
         def recording(word):
             calls.append(word)
-            return cached(word)
+            return stem(word)
 
         monkeypatch.setattr(porter, "stem", recording)
         assert run("words", *BASE, "--out", str(tmp_path)) == 0
         capsys.readouterr()
         assert textprep._echo_terms.cache_info().misses == 1
-        assert cached.cache_info().misses == len(set(calls)) < len(calls)
+        assert calls and len(calls) == len(set(calls))
 
 
 class TestBigrams:

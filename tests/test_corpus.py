@@ -3,6 +3,8 @@
 import ast
 import codecs
 import json
+import logging
+import re
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
@@ -27,7 +29,7 @@ from tagtopics.corpus import (
     top_hashtags,
     trend_series,
 )
-from tagtopics.errors import DataError
+from tagtopics.errors import DataError, iter_rows
 from tagtopics.sentiment import ingest_scores, load_valence_lexicon
 from tagtopics.syntax import load_parses
 from tagtopics.textprep import load_wordlist
@@ -184,6 +186,9 @@ CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",))
                     | st.integers(0x80, 0xFF).map(lambda b: chr(0xDC00 + b)), max_size=20)
 HUGE_CELLS = st.builds(lambda head, tail: head + "x" * 131_073 + tail, CELL_TEXT, CELL_TEXT)
 CSV_ROWS = st.lists(st.tuples(CELL_TEXT | HUGE_CELLS, st.booleans()), min_size=1, max_size=4)
+# over the limit too, but in commas or in quotes, which a row's end depends on
+PUNCTUATED_HUGE_CELLS = st.builds(lambda head, fill, tail: head + fill + tail, CELL_TEXT,
+                                  st.sampled_from(["," * 131_073, 'a"' * 65_537]), CELL_TEXT)
 
 
 def csv_row(cells: list[tuple[str, bool]]) -> str:
@@ -217,6 +222,21 @@ class TestCorpusLines:
             assert [t.id for t in load_corpus(p, fmt="csv")] == ["t1"]
         (record,) = caplog.records
         assert "gap.csv:4 skipped" in record.getMessage()
+
+    @pytest.mark.parametrize("field", [
+        pytest.param("," * 140_000, id="commas"),
+        pytest.param('a""b' * 70_000, id="quote-pairs"),
+    ])
+    def test_csv_field_over_the_size_limit_skips_its_whole_row(self, tmp_path, caplog, field):
+        # the rejected row runs on to line 3, where its quoted field closes
+        p = tmp_path / "huge.csv"
+        p.write_text(f'id,x\n1,"{field}\nt2,x"\nt3,ok\n', encoding="utf-8")
+        logger = logging.getLogger(__name__)
+        with caplog.at_level("WARNING", logger=logger.name):
+            rows = list(iter_rows(p, logger))
+        assert rows == [(1, ["id", "x"]), (4, ["t3", "ok"])]
+        (record,) = caplog.records
+        assert record.getMessage().startswith(f"{p}:3 skipped: invalid CSV")
 
     def test_deeply_nested_line_skipped(self, tmp_path, caplog):
         p = tmp_path / "deep.jsonl"
@@ -300,6 +320,30 @@ class TestCorpusLines:
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
             loaded = load(path)
         assert len(loaded) + warning.call_count == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(CSV_ROWS | st.lists(st.tuples(PUNCTUATED_HUGE_CELLS, st.booleans()),
+                                             min_size=1, max_size=2),
+                         min_size=1, max_size=4),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_each_csv_row_is_read_or_skipped_at_the_line_it_ends(self, rows, newline):
+        # a rejected row is read to its end, so the rows after it keep
+        # their own line numbers
+        text, line, ends = "h" + newline, 1, []
+        for cells in rows:
+            row = csv_row(cells) + newline
+            text += row
+            line += len(re.findall("\r\n|\r|\n", row))
+            if len(cells) > 1 or cells[0][0].strip():  # a blank row is passed over
+                ends.append(line)
+        logger = mock.Mock()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            read = [lineno for lineno, _ in iter_rows(path, logger)]
+        skipped = [c.args[2] for c in logger.warning.call_args_list]
+        assert read[0] == 1  # the header
+        assert sorted(read[1:] + skipped) == ends
 
 
 def test_only_errors_module_parses_csv_or_json():

@@ -139,9 +139,9 @@ EXCLUSION_KINDS = st.sampled_from([set, list, tuple, lambda terms: (t for t in t
 
 
 def reference_echo_filter(tokens, taxonomy, exclusions):
-    """The filter over an echo set built afresh, with the uncached stemmer."""
+    """The filter over an echo set built afresh."""
     banned = textprep._echo_terms.__wrapped__(taxonomy, exclusions)
-    return [t for t in tokens if t not in banned and porter.stem.__wrapped__(t) not in banned]
+    return [t for t in tokens if t not in banned and porter.stem(t) not in banned]
 
 
 class TestEchoCache:
@@ -184,14 +184,63 @@ class TestTokenizeTweets:
         text = "Happy families stay happier at home with jobs #StayHome"
         tweets = [FakeTweet("a", text)]
         tokenize_tweets(tweets, STEMMED, TAXONOMY)  # builds the echo set
+        textprep._word_memo.cache_clear()  # so the words are stemmed again
         calls = []
         stem = porter.stem
         monkeypatch.setattr(porter, "stem", lambda word: calls.append(word) or stem(word))
         (doc,) = tokenize_tweets(tweets, STEMMED, TAXONOMY)
         # the stemmer sees words, never its own output
-        assert set(calls) <= set(normalize(text, RAW))
+        assert calls and set(calls) <= set(normalize(text, RAW))
         assert doc.tokens == tuple(textprep.echo_free_tokens(text, STEMMED, TAXONOMY))
         assert doc.tokens == tuple(filter_category_echo(normalize(text, STEMMED), TAXONOMY))
+
+
+def reference_tokens(text, config, banned):
+    """The tokenizer step by step, each step a pass of its own: both
+    substitutions unguarded, no memo."""
+    text = textprep._URL_RE.sub(" ", text)
+    text = textprep._MENTION_RE.sub(" ", text)
+    tokens = textprep._LETTER_RUN_RE.findall(text.replace("#", "").casefold())
+    tokens = [t for t in tokens if len(t) >= textprep.MIN_TOKEN_LEN]
+    tokens = [t for t in tokens if t not in config.stopwords]
+    tokens = [t for t in tokens if t not in banned and porter.stem(t) not in banned]
+    if config.stem:
+        tokens = [porter.stem(t) for t in tokens]
+    return tokens
+
+
+TEXT_PIECES = st.one_of(
+    WORDS,
+    st.sampled_from(sorted(STOPWORDS)),
+    st.sampled_from(["https://x.co/a1", "http://t.co/@who", "see:https://a.b", "ftp://jobs.org",
+                     "://", "x://", "9://y"]),
+    st.sampled_from(["@who", "@StayHome", "a@b.c", "@", "@@x", "_@y", "mail@home"]),
+    st.sampled_from(["#StayHome", "#Covid19", "#JobLosses", "#SchoolClosures2020", "##",
+                     "#COVIDRelief", "#stayHOME", "#ремонт"]),
+    st.sampled_from(["Café", "naïve", "Straße", "ÉCOLE", "İstanbul", "ﬁnes", "Jobs",
+                     "HAPPIER", "ǅemal", "über"]),
+    st.text(max_size=6),
+)
+TEXTS = st.lists(st.tuples(TEXT_PIECES, st.sampled_from([" ", "", ",", "!", "\n", "1", "'"])),
+                 max_size=12).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+
+class TestTokenizer:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(TEXTS, min_size=1, max_size=4), config=st.sampled_from([STEMMED, RAW]),
+           taxonomy=st.sampled_from([TAXONOMY, OTHER_TAXONOMY]),
+           exclusions=st.sampled_from([(), ("governor press",), ("jobs", "café")]))
+    def test_matches_reference_pipeline(self, texts, config, taxonomy, exclusions):
+        # the memos stay warm across examples, so this checks warm and cold words
+        banned = textprep._echo_terms.__wrapped__(taxonomy, frozenset(exclusions))
+        for text in texts:
+            assert normalize(text, config) == reference_tokens(text, config, frozenset())
+            expected = reference_tokens(text, config, banned)
+            assert textprep.echo_free_tokens(text, config, taxonomy, exclusions) == expected
+        docs = tokenize_tweets([FakeTweet(str(i), t) for i, t in enumerate(texts)],
+                               config, taxonomy, exclusions)
+        assert [list(doc.tokens) for doc in docs] == [
+            reference_tokens(t, config, banned) for t in texts]
 
 
 class TestWordlists:
