@@ -6,10 +6,26 @@ library under the user cache directory (`$XDG_CACHE_HOME/tagtopics`, by
 default `~/.cache/tagtopics`), named by a hash of the C source, the compiler
 flags and the platform, so it also works from a source checkout with no
 install step. When no compiler is found or the build fails, a pure-Python
-kernel over plain lists runs instead, with bit-identical results: about 670
-ns per token and sweep against 10.3 ns for the C kernel, some 60 times
-slower. The sweep is strictly sequential over token positions, so results
-are deterministic given the per-sweep uniform draws handed in by the caller.
+kernel over plain lists runs instead, with bit-identical results: about 450
+ns per token and sweep against 11 ns for the C kernel on acceptance
+criterion 1's corpus (2 cores, Python 3.11), some 40 times slower. The
+sweep is strictly sequential over token positions, so results are
+deterministic given the per-sweep uniform draws handed in by the caller.
+
+A training opens one sampler over its state arrays with :func:`open_sampler`
+and calls :func:`run_sweep` once per sweep:
+
+    with open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                      prior_total, alpha) as sampler:
+        for u in draws:
+            run_sweep(sampler, u)
+
+The state is checked and converted once, when the sampler opens; a sweep
+checks only its draws. The arrays belong to the sampler until it closes and
+hold its state only after that: the pure-Python backend works on lists and
+writes them back on close, also when a sweep raised. The C kernel updates
+the arrays in place and scans every id on each sweep before it changes a
+count, since it follows them as pointers.
 """
 
 from __future__ import annotations
@@ -35,19 +51,18 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 # pure-Python kernel and would break bit-identity between backends
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-Sweep = Callable[..., None]
 
-
-def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, u):
+def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
     """Reject arrays the C kernel cannot read safely (wrong dtype, a layout
-    other than C-contiguous, a read-only count table, disagreeing shapes)
-    and prior totals on which the two backends would not agree."""
+    other than C-contiguous, a read-only count table, disagreeing shapes, an
+    id out of range) and prior totals on which the two backends would not
+    agree."""
     typed = (
         ("z", z, np.int32, 1), ("doc_of", doc_of, np.int32, 1),
         ("word_of", word_of, np.int32, 1), ("n_dt", n_dt, np.int64, 2),
         ("n_tw", n_tw, np.int64, 2), ("n_t", n_t, np.int64, 1),
         ("word_prior", word_prior, np.float64, 2),
-        ("prior_total", prior_total, np.float64, 1), ("u", u, np.float64, 1),
+        ("prior_total", prior_total, np.float64, 1),
     )
     for name, arr, dtype, ndim in typed:
         if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
@@ -60,7 +75,7 @@ def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, u
             raise ValueError(f"{name} must be writeable")
     n, k, v = z.shape[0], n_t.shape[0], n_tw.shape[0]
     expected = (
-        ("doc_of", doc_of, (n,)), ("word_of", word_of, (n,)), ("u", u, (n,)),
+        ("doc_of", doc_of, (n,)), ("word_of", word_of, (n,)),
         ("prior_total", prior_total, (k,)), ("n_dt", n_dt, (n_dt.shape[0], k)),
         ("n_tw", n_tw, (v, k)), ("word_prior", word_prior, (v, k)),
     )
@@ -70,52 +85,86 @@ def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, u
     # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
     if not (prior_total > 0.0).all():
         raise ValueError("prior_total must be positive")
+    # plain lists accept negative indices, so check every id up front
+    for ids, bound in ((doc_of, n_dt.shape[0]), (word_of, v), (z, k)):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise IndexError("document, word or topic id out of range")
 
 
 def _sweep_source(k: int) -> str:
     """Source of a sweep over plain lists for exactly k >= 1 topics: the
-    loop over topics unrolled into straight-line code on locals, in the
-    operation order of the C kernel."""
+    loops over topics unrolled into straight-line code on locals, in the
+    operation order of the C kernel.
+
+    The factors of the current document (d0..) and of the topic totals
+    (s0..) stay in locals, reloaded only when the document changes or a
+    token moves. The old topic's own weight term lowers its three counts
+    inline instead of removing the token, one block per old topic, so the
+    lists are written only when the token moves to another topic."""
     ts = range(k)
 
     def names(prefix: str) -> str:
         return ", ".join(f"{prefix}{t}" for t in ts) + ("," if k == 1 else "")
 
-    def move(step: str) -> list[str]:
-        # update the three counts of topic t and the factors read from them
+    def move(topic: str, step: str) -> list[str]:
+        # update the three counts of a topic and the factors read from them
         return [
-            f"c = cd[t] {step} 1", "cd[t] = c", "fd[t] = c + alpha",
-            f"c = cw[t] {step} 1", "cw[t] = c", "fw[t] = c + pw[t]",
-            f"c = tot[t] {step} 1", "tot[t] = c", "tot_f[t] = c + prior_sum[t]",
+            f"c = cd[{topic}] {step} 1", f"cd[{topic}] = c", f"fd[{topic}] = c + alpha",
+            f"c = cw[{topic}] {step} 1", f"cw[{topic}] = c", f"fw[{topic}] = c + pw[{topic}]",
+            f"c = tot[{topic}] {step} 1", f"tot[{topic}] = c",
+            f"tot_f[{topic}] = c + prior_sum[{topic}]",
         ]
 
-    # a{t} is both the running sum the draw is compared with and, at t = k-1,
-    # the total; 0.0 + x rounds as the C kernel's accumulator, which starts
-    # at 0.0, does (-0.0 becomes 0.0)
-    weights = ["a0 = 0.0 + d0 * w0 / s0"] + [
-        f"a{t} = a{t - 1} + d{t} * w{t} / s{t}" for t in ts[1:]]
-    # the first running sum above r picks the topic; flat ifs that break out
-    # of one pass, as an elif chain this deep would not compile for large k
+    def weights(old: int) -> list[str]:
+        # a{t} is both the running sum the draw is compared with and, at
+        # t = k-1, the total; 0.0 + x rounds as the C kernel's accumulator,
+        # which starts at 0.0, does (-0.0 becomes 0.0)
+        lines = []
+        for t in ts:
+            term = (f"((cd[{t}] - 1) + alpha) * ((cw[{t}] - 1) + pw[{t}])"
+                    f" / ((tot[{t}] - 1) + p{t})" if t == old else f"d{t} * w{t} / s{t}")
+            lines.append(f"a{t} = {'0.0' if t == 0 else f'a{t - 1}'} + {term}")
+        return lines
+
+    # one block per old topic, and the first running sum above r picks the
+    # new topic; flat ifs that break out of one pass, as an elif chain this
+    # deep would not compile for large k
+    by_old = ["while True:"] + [
+        line for t in ts[:-1]
+        for line in (f"    if t == {t}:", *(f"        {w}" for w in weights(t)),
+                     "        break")
+    ] + [f"    {w}" for w in weights(k - 1)] + ["    break"]
     pick = ["while True:"] + [
         line for t in ts[:-1]
-        for line in (f"    if r < a{t}:", f"        t = {t}", "        break")
-    ] + [f"    t = {k - 1}", "    break"]
+        for line in (f"    if r < a{t}:", f"        n = {t}", "        break")
+    ] + [f"    n = {k - 1}", "    break"]
     body = [
+        "if d != last:",
+        "    last = d",
+        "    cd = dt[d]",
+        "    fd = dt_f[d]",
+        f"    {names('d')} = fd",
         "t = zs[i]",
-        "cd = dt[d]", "cw = tw[w]", "fd = dt_f[d]", "fw = tw_f[w]", "pw = prior[w]",
-        *move("-"),
-        f"{names('d')} = fd", f"{names('w')} = fw", f"{names('s')} = tot_f",
-        *weights,
+        "cw = tw[w]", "fw = tw_f[w]", "pw = prior[w]",
+        f"{names('w')} = fw",
+        *by_old,
         f"if not a{k - 1} > 0.0:  # catches zero and NaN",
+        *(f"    {line}" for line in move("t", "-")),
         "    raise AssertionError('degenerate sampling weight normalizer')",
         f"r *= a{k - 1}",
         *pick,
-        "zs[i] = t",
-        *move("+"),
+        "if n != t:",
+        "    zs[i] = n",
+        *(f"    {line}" for line in (*move("t", "-"), *move("n", "+"))),
+        f"    {names('d')} = fd",
+        f"    {names('s')} = tot_f",
     ]
     return "\n".join([
         "def sweep(zs, docs, words, draws, dt, tw, tot, dt_f, tw_f, tot_f,",
         "          prior, prior_sum, alpha):",
+        f"    {names('p')} = prior_sum",
+        f"    {names('s')} = tot_f",
+        "    last = -1",
         "    for i, d, w, r in zip(range(len(zs)), docs, words, draws):",
         *(f"        {line}" for line in body),
         "",
@@ -130,22 +179,44 @@ def _unrolled_sweep(k: int) -> Callable[..., None]:
     return namespace["sweep"]
 
 
-def sweep_python(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
-                 alpha, u) -> None:
-    """One full sweep: for each token position i, remove the token from the
-    counts, weight every topic by
+class _Sampler:
+    """The state of one training's sweeps, checked once when it opens (see
+    :func:`open_sampler`); a context manager whose exit leaves the arrays
+    holding the sampler's state."""
 
-        (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
+    def __init__(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                 prior_total, alpha):
+        _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
+        self._tokens = z.shape[0]
+        self._closed = False
 
-    and reassign by inverse transform on u[i]. Counts are updated in place.
+    def __len__(self) -> int:
+        return self._tokens
 
-    Pure-Python backend, some 60 times slower than the C kernel (about 670
-    against 10.3 ns per token and sweep). It copies the arrays to plain
-    lists, where element access is far cheaper than on numpy scalars, and
-    writes them back. Beside each count table it keeps its factor as a float
-    list (count + alpha, count + prior, total + prior total), each entry
-    recomputed from its count whenever that count changes, so every factor is
-    the very double the formula above gives.
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._closed:
+            self._closed = True
+            self._close()
+
+    def _sweep(self, u: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _close(self) -> None:
+        """Leave the arrays holding the sampler's state."""
+
+
+class _PythonSampler(_Sampler):
+    """Pure-Python backend, some 40 times slower than the C kernel (about
+    450 against 11 ns per token and sweep). It copies the arrays to plain
+    lists when it opens, where element access is far cheaper than on numpy
+    scalars, and writes them back when it closes, also after a sweep
+    raised. Beside each count table it keeps its factor as a float list
+    (count + alpha, count + prior, total + prior total), each entry
+    recomputed from its count whenever that count changes, so every factor
+    is the very double the formula in :func:`run_sweep` gives.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -153,60 +224,79 @@ def sweep_python(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
     straight-line code on locals does the same arithmetic, in the same
     order, without them. The source is built from K alone, never from input
     data."""
-    _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, u)
-    k = n_t.shape[0]
-    # plain lists accept negative indices, so check every id up front
-    for ids, bound in ((doc_of, n_dt.shape[0]), (word_of, n_tw.shape[0]), (z, k)):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise IndexError("document, word or topic id out of range")
-    if not z.size:  # nothing to sample; and k may be 0, with no sweep source
-        return
-    alpha = float(alpha)
-    sweep = _unrolled_sweep(k)
-    zs, dt, tw, tot = z.tolist(), n_dt.tolist(), n_tw.tolist(), n_t.tolist()
-    try:
+
+    def __init__(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                 prior_total, alpha):
+        super().__init__(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                         prior_total, alpha)
+        self._arrays = (z, n_dt, n_tw, n_t)
+        self._lists = (z.tolist(), n_dt.tolist(), n_tw.tolist(), n_t.tolist())
+        if not self._tokens:  # nothing to sample; and k may be 0, with no sweep source
+            return
+        alpha = float(alpha)
+        zs, dt, tw, tot = self._lists
+        self._fn = _unrolled_sweep(n_t.shape[0])
+        self._head = (zs, doc_of.tolist(), word_of.tolist())
         # int + float in numpy is the same double as in Python
-        sweep(zs, doc_of.tolist(), word_of.tolist(), u.tolist(), dt, tw, tot,
-              (n_dt + alpha).tolist(), (n_tw + word_prior).tolist(),
-              (n_t + prior_total).tolist(), word_prior.tolist(),
-              prior_total.tolist(), alpha)
-    finally:
-        # write back even on failure, so the arrays end as the C kernel's would
-        z[:] = zs
-        n_dt[:] = dt
-        n_tw[:] = tw
-        n_t[:] = tot
+        self._tail = (dt, tw, tot, (n_dt + alpha).tolist(),
+                      (n_tw + word_prior).tolist(), (n_t + prior_total).tolist(),
+                      word_prior.tolist(), prior_total.tolist(), alpha)
+
+    def _sweep(self, u: np.ndarray) -> None:
+        if self._tokens:
+            self._fn(*self._head, u.tolist(), *self._tail)
+
+    def _close(self) -> None:
+        # free the read-only and factor lists before the write-back builds
+        # its temporary arrays
+        self._head = self._tail = None
+        for array, values in zip(self._arrays, self._lists):
+            array[:] = values
 
 
-class _CompiledSweep:
-    """ctypes binding of the compiled `tagtopics_sweep`, behind the same
-    checks and the same errors as :func:`sweep_python`."""
+class _CompiledSampler(_Sampler):
+    """A sampler on the compiled kernel. It takes every array pointer and
+    allocates the kernel's scratch buffer once, and keeps a reference to
+    each array whose pointer it holds; a sweep passes only the draws."""
 
-    def __init__(self, path: Path):
-        self._lib = ctypes.CDLL(str(path))  # keeps the library loaded
-        i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-        i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-        fn = self._lib.tagtopics_sweep
-        fn.argtypes = [ctypes.c_int64] * 4 + [
-            i32, i32, i32, i64, i64, i64, f64, f64, ctypes.c_double, f64, f64,
-        ]
-        fn.restype = ctypes.c_int
-        self._fn = fn
-
-    def __call__(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                 prior_total, alpha, u) -> None:
-        _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, u)
+    def __init__(self, kernel: _CompiledKernel, z, doc_of, word_of, n_dt, n_tw,
+                 n_t, word_prior, prior_total, alpha):
+        super().__init__(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                         prior_total, alpha)
         k = n_t.shape[0]
-        status = self._fn(
-            z.shape[0], n_dt.shape[0], n_tw.shape[0], k, z, doc_of, word_of,
-            n_dt, n_tw, n_t, word_prior, prior_total, float(alpha), u,
-            np.empty(k, dtype=np.float64),
-        )
+        self._kernel = kernel  # keeps the library loaded
+        self._arrays = (z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                        prior_total, np.empty(k, dtype=np.float64))
+        pointers = [a.ctypes.data for a in self._arrays]
+        self._head = (self._tokens, n_dt.shape[0], n_tw.shape[0], k,
+                      *pointers[:8], float(alpha))
+        self._weights = pointers[8]
+
+    def _sweep(self, u: np.ndarray) -> None:
+        status = self._kernel.fn(*self._head, u.ctypes.data, self._weights)
         if status == 1:
             raise AssertionError("degenerate sampling weight normalizer")
         if status == 2:
             raise IndexError("document, word or topic id out of range")
+
+
+class _CompiledKernel:
+    """ctypes binding of the compiled `tagtopics_sweep`."""
+
+    def __init__(self, path: Path):
+        self._lib = ctypes.CDLL(str(path))  # keeps the library loaded
+        fn = self._lib.tagtopics_sweep
+        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+        # prior_total, alpha, u and the weights buffer
+        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 8
+                       + [ctypes.c_double] + [ctypes.c_void_p] * 2)
+        fn.restype = ctypes.c_int
+        self.fn = fn
+
+    def open(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+             prior_total, alpha) -> _CompiledSampler:
+        return _CompiledSampler(self, z, doc_of, word_of, n_dt, n_tw, n_t,
+                                word_prior, prior_total, alpha)
 
 
 def _library_path() -> Path:
@@ -247,11 +337,11 @@ def _build() -> Path:
 
 
 @functools.cache
-def _compiled_sweep() -> _CompiledSweep | None:
+def _compiled_kernel() -> _CompiledKernel | None:
     """Build and load the C kernel once per process; None if that fails."""
     try:
         path = _build()
-        kernel = _CompiledSweep(path)
+        kernel = _CompiledKernel(path)
     except subprocess.CalledProcessError as exc:
         reason = f"compiler failed: {exc.stderr.strip() or exc}"
     except (OSError, subprocess.SubprocessError) as exc:
@@ -265,23 +355,51 @@ def _compiled_sweep() -> _CompiledSweep | None:
     return None
 
 
-def backends() -> dict[str, Sweep]:
-    """Every sweep kernel that runs here, by name, the one
-    :func:`run_sweep` uses first."""
-    compiled = _compiled_sweep()
-    found: dict[str, Sweep] = {} if compiled is None else {"c": compiled}
-    found["python"] = sweep_python
+def backends() -> dict[str, Callable[..., _Sampler]]:
+    """Every sampler backend that runs here, by name, the one
+    :func:`open_sampler` uses first; each takes :func:`open_sampler`'s
+    arguments."""
+    compiled = _compiled_kernel()
+    found: dict[str, Callable[..., _Sampler]] = (
+        {} if compiled is None else {"c": compiled.open})
+    found["python"] = _PythonSampler
     return found
 
 
-def run_sweep(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
-              alpha, u) -> None:
-    """One full sweep (see :func:`sweep_python`) on the compiled kernel, or
-    on the pure-Python one when the C kernel could not be built.
+def open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
+                 alpha) -> _Sampler:
+    """A sampler over one training's state, on the compiled kernel, or on
+    the pure-Python one when the C kernel could not be built; use it as a
+    context manager, whose exit, normal or by an exception, leaves the
+    arrays holding the sampler's state. Until then the arrays belong to the
+    sampler. ``len(sampler)`` is the token count.
 
-    z, doc_of and word_of are int32, the count tables int64, the priors and
-    u float64, all C-contiguous; anything else raises TypeError or
-    ValueError before a count changes, and an id out of range raises
-    IndexError. A weight total that is not positive raises AssertionError."""
-    kernel = _compiled_sweep() or sweep_python
-    kernel(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha, u)
+    z, doc_of and word_of are int32, the count tables int64 and the priors
+    float64, all C-contiguous; anything else raises TypeError or ValueError,
+    and an id out of range IndexError, before a count changes."""
+    compiled = _compiled_kernel()
+    factory = _PythonSampler if compiled is None else compiled.open
+    return factory(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                   prior_total, alpha)
+
+
+def run_sweep(sampler: _Sampler, u: np.ndarray) -> None:
+    """One full sweep: for each token position i, remove the token from the
+    counts, weight every topic by
+
+        (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
+
+    and reassign by inverse transform on u[i].
+
+    u holds one float64 draw per token, C-contiguous; anything else raises
+    TypeError or ValueError before a count changes, as does a closed
+    sampler. A weight total that is not positive raises AssertionError."""
+    if sampler._closed:
+        raise ValueError("sweep on a closed sampler")
+    if not isinstance(u, np.ndarray) or u.dtype != np.float64:
+        got = u.dtype if isinstance(u, np.ndarray) else type(u).__name__
+        raise TypeError(f"u must be a float64 array, got {got}")
+    if u.shape != (len(sampler),) or not u.flags.c_contiguous:
+        raise ValueError(f"u must be a C-contiguous array of {len(sampler)} "
+                         f"draws, got shape {u.shape}")
+    sampler._sweep(u)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gibbs import run_sweep
+from ._gibbs import open_sampler, run_sweep
 from .corpus import category_order
 from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
@@ -271,10 +271,11 @@ def train(
     word_prior, prior_total = model.word_prior()
     doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
     u = np.empty(len(z_flat))  # each sweep's uniforms, drawn in place
-    for _ in range(iterations):
-        rng.random(out=u)
-        run_sweep(z_flat, doc_of, word_of, model.n_dt, model.n_tw, model.n_t,
-                  word_prior, prior_total, alpha, u)
+    with open_sampler(z_flat, doc_of, word_of, model.n_dt, model.n_tw, model.n_t,
+                      word_prior, prior_total, alpha) as sampler:
+        for _ in range(iterations):
+            rng.random(out=u)
+            run_sweep(sampler, u)
 
     model.check_counts()
     return model

@@ -157,6 +157,13 @@ def replay_sweep(z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha,
         n_t[new_t] += 1
 
 
+def sweep_through(factory, state, alpha, draws):
+    """Open one sampler over `state` and run one sweep per entry of draws."""
+    with factory(*state, alpha) as sampler:
+        for u in draws:
+            run_sweep(sampler, u)
+
+
 class TestKernel:
     def setup_state(self, rng, d_count=6, v=9, k=4, n=60):
         doc_of = np.sort(rng.integers(0, d_count, n)).astype(np.int32)
@@ -181,13 +188,14 @@ class TestKernel:
             u = rng.random(len(state[0]))
             kernel_state = tuple(a.copy() for a in state)
             replay_state = tuple(a.copy() for a in state)
-            run_sweep(*kernel_state[:6], kernel_state[6], kernel_state[7], 0.01, u)
-            replay_sweep(*replay_state[:6], replay_state[6], replay_state[7], 0.01, u)
+            sweep_through(_gibbs.open_sampler, kernel_state, 0.01, [u])
+            replay_sweep(*replay_state, 0.01, u)
             for got, want in zip(kernel_state, replay_state):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8, 16])
     def test_backends_agree_with_each_other_and_replay(self, k):
+        # five sweeps through one sampler equal five replayed sweeps
         rng = np.random.default_rng(100 + k)
         kernels = _gibbs.backends()
         assert "python" in kernels
@@ -195,10 +203,10 @@ class TestKernel:
             state = self.setup_state(rng, d_count=d_count, v=v, k=k, n=n)
             runs = {name: tuple(a.copy() for a in state) for name in kernels}
             replay = tuple(a.copy() for a in state)
-            for _ in range(5):
-                u = rng.random(n)
-                for name, kernel in kernels.items():
-                    kernel(*runs[name], 0.01, u)
+            draws = [rng.random(n) for _ in range(5)]
+            for name, factory in kernels.items():
+                sweep_through(factory, runs[name], 0.01, draws)
+            for u in draws:
                 replay_sweep(*replay, 0.01, u)
             for name, got_state in runs.items():
                 # z, n_dt, n_tw and n_t; the priors are read-only inputs
@@ -235,16 +243,16 @@ class TestKernel:
                     u[0] = first
                     replay = tuple(a.copy() for a in state)
                     replay_sweep(*replay, 0.01, u)
-                    for name, kernel in kernels.items():
+                    for name, factory in kernels.items():
                         got = tuple(a.copy() for a in state)
-                        kernel(*got, 0.01, u)
+                        sweep_through(factory, got, 0.01, [u])
                         for got_array, want in zip(got[:6], replay[:6]):
                             np.testing.assert_array_equal(got_array, want, err_msg=name)
 
     def test_degenerate_weights_rejected(self):
         # zero prior and zero alpha leave every numerator at zero once the
         # lone token is removed, so the weight total cannot be positive
-        for kernel in (run_sweep, *_gibbs.backends().values()):
+        for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
             z = np.zeros(1, dtype=np.int32)
             doc_of = np.zeros(1, dtype=np.int32)
             word_of = np.zeros(1, dtype=np.int32)
@@ -254,8 +262,8 @@ class TestKernel:
             prior = np.zeros((1, 2))
             prior_total = np.ones(2)
             with pytest.raises(AssertionError):
-                kernel(z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total,
-                       0.0, np.array([0.5]))
+                sweep_through(factory, (z, doc_of, word_of, n_dt, n_tw, n_t,
+                                        prior, prior_total), 0.0, [np.array([0.5])])
 
     def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
         # token 3 is alone in document 1 and its word has no prior, so with
@@ -267,14 +275,15 @@ class TestKernel:
         prior = np.array([[0.3, 0.2], [0.0, 0.0]])
         u = np.array([0.9, 0.1, 0.6, 0.5, 0.5, 0.5])
         states = {}
-        for name, kernel in (("run_sweep", run_sweep), *_gibbs.backends().items()):
+        for name, factory in (("open_sampler", _gibbs.open_sampler),
+                              *_gibbs.backends().items()):
             state = (z.copy(), doc_of, word_of, np.array([[3, 2], [0, 1]]),
                      np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
                      prior.sum(axis=0))
             with pytest.raises(AssertionError):
-                kernel(*state, 0.0, u)
+                sweep_through(factory, state, 0.0, [u])
             states[name] = state
-        want = states.pop("run_sweep")
+        want = states.pop("open_sampler")
         # token 3 is out of the counts, the rest are counted where z puts them
         counted = np.arange(6) != 3
         n_dt = np.zeros((2, 2), dtype=np.int64)
@@ -286,19 +295,60 @@ class TestKernel:
             for got_array, want_array in zip(got[:6], want[:6]):
                 np.testing.assert_array_equal(got_array, want_array, err_msg=name)
 
+    def test_degenerate_total_on_a_later_sweep_leaves_the_same_state(self):
+        # alpha = 0. Tokens 1-4 are pinned to their topic by a one-topic
+        # prior on a word of their own. Token 5 is pinned to token 6's topic
+        # 0, and token 6, whose word has a prior on topic 1 only, can stay in
+        # topic 0 only while token 0, the other token of its word, is there
+        # too. The draws keep token 0 in topic 0 for two sweeps and move it
+        # to topic 1 on the third, where token 6's total is zero.
+        doc_of = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int32)
+        word_of = np.array([1, 2, 2, 3, 3, 0, 1], dtype=np.int32)
+        z = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.int32)
+        prior = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
+        draws = [np.full(7, 0.5) for _ in range(3)]
+        draws[0][0] = draws[1][0] = 0.0
+        draws[2][0] = 1.0 - 1e-12
+        states = {}
+        for name, factory in _gibbs.backends().items():
+            n_dt, n_tw = np.zeros((2, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)
+            np.add.at(n_dt, (doc_of, z), 1)
+            np.add.at(n_tw, (word_of, z), 1)
+            state = (z.copy(), doc_of, word_of, n_dt, n_tw, n_dt.sum(axis=0),
+                     prior, prior.sum(axis=0))
+            done = []
+            with pytest.raises(AssertionError), factory(*state, 0.0) as sampler:
+                for u in draws:
+                    run_sweep(sampler, u)
+                    done.append(u)
+            assert len(done) == 2, name
+            states[name] = state
+        want = states.pop("python")
+        np.testing.assert_array_equal(want[0], [1, 0, 0, 1, 1, 0, 0])
+        counted = np.arange(7) != 6  # token 6 is out of the counts
+        n_dt = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(n_dt, (doc_of[counted], want[0][counted]), 1)
+        np.testing.assert_array_equal(want[3], n_dt)
+        np.testing.assert_array_equal(want[5], n_dt.sum(axis=0))
+        for name, got in states.items():
+            for got_array, want_array in zip(got[:6], want[:6]):
+                np.testing.assert_array_equal(got_array, want_array, err_msg=name)
+
     def test_generated_sweep_built_once_per_k(self):
         rng = np.random.default_rng(5)
         _gibbs._unrolled_sweep.cache_clear()
         try:
             for k in (3, 3, 5, 3):
                 state = self.setup_state(rng, k=k)
-                _gibbs.sweep_python(*state, 0.01, rng.random(len(state[0])))
+                sweep_through(_gibbs._PythonSampler, state, 0.01,
+                              [rng.random(len(state[0]))] * 2)
             info = _gibbs._unrolled_sweep.cache_info()
             assert (info.misses, info.hits) == (2, 2)
         finally:
             _gibbs._unrolled_sweep.cache_clear()
 
     def test_bad_arrays_rejected_before_counts_change(self):
+        # bad state when the sampler opens, bad draws on each sweep
         rng = np.random.default_rng(3)
         state = self.setup_state(rng)
         u = rng.random(len(state[0]))
@@ -313,27 +363,44 @@ class TestKernel:
         bad_doc[-1] = state[3].shape[0]
         negative_topic = state[0].copy()
         negative_topic[0] = -1
-        cases = [
-            (TypeError, swap(0, state[0].astype(np.int64)), u),
-            (TypeError, swap(3, state[3].astype(np.int32)), u),
-            (TypeError, swap(6, state[6].astype(np.float32)), u),
-            (TypeError, state, u.tolist()),
-            (ValueError, swap(3, fortran_n_dt), u),
-            (ValueError, swap(2, np.repeat(state[2], 2)[::2]), u),
-            (ValueError, swap(5, read_only_n_t), u),
-            (ValueError, state, u[:-1]),
-            (ValueError, swap(7, state[7][:-1].copy()), u),
-            (ValueError, swap(7, np.zeros_like(state[7])), u),
-            (IndexError, swap(1, bad_doc), u),
-            (IndexError, swap(0, negative_topic), u),
+        at_open = [
+            (TypeError, swap(0, state[0].astype(np.int64))),
+            (TypeError, swap(3, state[3].astype(np.int32))),
+            (TypeError, swap(6, state[6].astype(np.float32))),
+            (TypeError, swap(1, state[1].tolist())),
+            (ValueError, swap(3, fortran_n_dt)),
+            (ValueError, swap(2, np.repeat(state[2], 2)[::2])),
+            (ValueError, swap(5, read_only_n_t)),
+            (ValueError, swap(1, state[1][:-1].copy())),
+            (ValueError, swap(7, state[7][:-1].copy())),
+            (ValueError, swap(7, np.zeros_like(state[7]))),
+            (IndexError, swap(1, bad_doc)),
+            (IndexError, swap(0, negative_topic)),
         ]
-        for kernel in (run_sweep, *_gibbs.backends().values()):
-            for error, args, draws in cases:
-                before = [a.copy() for a in args]
+        per_sweep = [
+            (TypeError, u.astype(np.float32)),
+            (TypeError, u.tolist()),
+            (ValueError, u[:-1]),
+            (ValueError, np.repeat(u, 2)[::2]),
+        ]
+        for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
+            for error, args in at_open:
+                before = [np.copy(a) for a in args]
                 with pytest.raises(error):
-                    kernel(*args, 0.01, draws)
+                    factory(*args, 0.01)
                 for got, want in zip(args, before):
                     np.testing.assert_array_equal(got, want)
+            for error, draws in per_sweep:
+                args = tuple(a.copy() for a in state)
+                with factory(*args, 0.01) as sampler:
+                    with pytest.raises(error):
+                        run_sweep(sampler, draws)
+                for got, want in zip(args, state):
+                    np.testing.assert_array_equal(got, want)
+            with factory(*state, 0.01) as sampler:
+                pass
+            with pytest.raises(ValueError, match="closed"):
+                run_sweep(sampler, u)
 
     def test_fallback_when_build_fails(self, monkeypatch, caplog):
         docs = small_corpus()
@@ -344,13 +411,13 @@ class TestKernel:
             raise OSError("no C compiler (cc or gcc) on PATH")
 
         monkeypatch.setattr(_gibbs, "_build", no_compiler)
-        _gibbs._compiled_sweep.cache_clear()
+        _gibbs._compiled_kernel.cache_clear()
         try:
             with caplog.at_level("WARNING", logger="tagtopics._gibbs"):
                 fallback = train(docs, spec, iterations=30, rng_seed=5)
             assert list(_gibbs.backends()) == ["python"]
         finally:
-            _gibbs._compiled_sweep.cache_clear()
+            _gibbs._compiled_kernel.cache_clear()
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelname == "WARNING" and r.name == "tagtopics._gibbs"]
         assert len(warnings) == 1 and "no C compiler" in warnings[0]
@@ -409,6 +476,22 @@ class TestTrain:
             not np.array_equal(z1, z2)
             for z1, z2 in zip(m1.assignments, m2.assignments)
         )
+
+    def test_one_run_sweep_call_per_sweep(self, monkeypatch):
+        # a tracer wraps the run_sweep that topics binds at import and counts
+        # len(args[0]) tokens per call
+        calls = []
+        sweep = topics_mod.run_sweep
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return sweep(*args)
+
+        monkeypatch.setattr(topics_mod, "run_sweep", counting)
+        docs = small_corpus()
+        spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
+        train(docs, spec, iterations=7, rng_seed=5)
+        assert calls == [sum(len(d.tokens) for d in docs)] * 7
 
     def test_invariants_hold_and_checked(self):
         docs = small_corpus()
