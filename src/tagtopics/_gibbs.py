@@ -20,6 +20,11 @@ and calls :func:`run_sweep` once per sweep:
         for u in draws:
             run_sweep(sampler, u)
 
+Each backend is one factory, :func:`_compiled_sampler` or
+:func:`_python_sampler`, returning the one sampler class, :class:`_Sampler`.
+:func:`backends` lists the factories that run here, the compiled one first,
+and is the only code that picks one; :func:`open_sampler` opens its first.
+
 The state is checked and converted once, when the sampler opens; a sweep
 checks only its draws. The arrays belong to the sampler until it closes and
 hold its state only after that: the pure-Python backend works on lists and
@@ -52,6 +57,16 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _check_array(name: str, arr, dtype, ndim: int) -> None:
+    """Reject anything but a C-contiguous `ndim`-d numpy array of `dtype`:
+    TypeError for another type or dtype, ValueError for another layout."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+        got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
+        raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
+    if arr.ndim != ndim or not arr.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
+
+
 def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
     """Reject arrays the C kernel cannot read safely (wrong dtype, a layout
     other than C-contiguous, a read-only count table, disagreeing shapes, an
@@ -65,11 +80,7 @@ def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
         ("prior_total", prior_total, np.float64, 1),
     )
     for name, arr, dtype, ndim in typed:
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-            got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
-            raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
-        if arr.ndim != ndim or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
+        _check_array(name, arr, dtype, ndim)
     for name, arr in (("z", z), ("n_dt", n_dt), ("n_tw", n_tw), ("n_t", n_t)):
         if not arr.flags.writeable:
             raise ValueError(f"{name} must be writeable")
@@ -180,14 +191,15 @@ def _unrolled_sweep(k: int) -> Callable[..., None]:
 
 
 class _Sampler:
-    """The state of one training's sweeps, checked once when it opens (see
-    :func:`open_sampler`); a context manager whose exit leaves the arrays
-    holding the sampler's state."""
+    """The one sampler class: a training's token count, its sweep over the
+    draws and what closing does, from a backend's factory. A context manager
+    whose exit runs `close` once and leaves the arrays holding the state."""
 
-    def __init__(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                 prior_total, alpha):
-        _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
-        self._tokens = z.shape[0]
+    def __init__(self, tokens: int, sweep: Callable[[np.ndarray], None],
+                 close: Callable[[], None] = lambda: None):
+        self._tokens = tokens
+        self._sweep = sweep
+        self._close = close
         self._closed = False
 
     def __len__(self) -> int:
@@ -201,22 +213,16 @@ class _Sampler:
             self._closed = True
             self._close()
 
-    def _sweep(self, u: np.ndarray) -> None:
-        raise NotImplementedError
 
-    def _close(self) -> None:
-        """Leave the arrays holding the sampler's state."""
-
-
-class _PythonSampler(_Sampler):
-    """Pure-Python backend, some 40 times slower than the C kernel (about
-    450 against 11 ns per token and sweep). It copies the arrays to plain
-    lists when it opens, where element access is far cheaper than on numpy
-    scalars, and writes them back when it closes, also after a sweep
-    raised. Beside each count table it keeps its factor as a float list
-    (count + alpha, count + prior, total + prior total), each entry
-    recomputed from its count whenever that count changes, so every factor
-    is the very double the formula in :func:`run_sweep` gives.
+def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                    prior_total, alpha) -> _Sampler:
+    """A sampler on the pure-Python backend. It copies the arrays to plain
+    lists, where element access is far cheaper than on numpy scalars, and
+    writes them back when it closes, also after a sweep raised. Beside each
+    count table it keeps its factor as a float list (count + alpha, count +
+    prior, total + prior total), each entry recomputed from its count
+    whenever that count changes, so every factor is the very double the
+    formula in :func:`run_sweep` gives.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -224,79 +230,54 @@ class _PythonSampler(_Sampler):
     straight-line code on locals does the same arithmetic, in the same
     order, without them. The source is built from K alone, never from input
     data."""
+    _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
+    arrays = (z, n_dt, n_tw, n_t)
+    lists = [a.tolist() for a in arrays]
+    zs, dt, tw, tot = lists
+    # no tokens: nothing to sample, and k may be 0, with no sweep source
+    fn = _unrolled_sweep(len(tot)) if zs else lambda *args: None
+    alpha = float(alpha)
+    # the sweep's arguments before and after the draws; int + float in numpy
+    # is the same double as in Python
+    head = [zs, doc_of.tolist(), word_of.tolist()]
+    tail = [dt, tw, tot, (n_dt + alpha).tolist(), (n_tw + word_prior).tolist(),
+            (n_t + prior_total).tolist(), word_prior.tolist(),
+            prior_total.tolist(), alpha]
 
-    def __init__(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                 prior_total, alpha):
-        super().__init__(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                         prior_total, alpha)
-        self._arrays = (z, n_dt, n_tw, n_t)
-        self._lists = (z.tolist(), n_dt.tolist(), n_tw.tolist(), n_t.tolist())
-        if not self._tokens:  # nothing to sample; and k may be 0, with no sweep source
-            return
-        alpha = float(alpha)
-        zs, dt, tw, tot = self._lists
-        self._fn = _unrolled_sweep(n_t.shape[0])
-        self._head = (zs, doc_of.tolist(), word_of.tolist())
-        # int + float in numpy is the same double as in Python
-        self._tail = (dt, tw, tot, (n_dt + alpha).tolist(),
-                      (n_tw + word_prior).tolist(), (n_t + prior_total).tolist(),
-                      word_prior.tolist(), prior_total.tolist(), alpha)
-
-    def _sweep(self, u: np.ndarray) -> None:
-        if self._tokens:
-            self._fn(*self._head, u.tolist(), *self._tail)
-
-    def _close(self) -> None:
+    def close() -> None:
         # free the read-only and factor lists before the write-back builds
         # its temporary arrays
-        self._head = self._tail = None
-        for array, values in zip(self._arrays, self._lists):
+        del head[:], tail[:]
+        for array, values in zip(arrays, lists):
             array[:] = values
 
+    # the draws' list is a call argument, freed when the sweep returns
+    return _Sampler(len(zs), lambda u: fn(*head, u.tolist(), *tail), close)
 
-class _CompiledSampler(_Sampler):
-    """A sampler on the compiled kernel. It takes every array pointer and
-    allocates the kernel's scratch buffer once, and keeps a reference to
-    each array whose pointer it holds; a sweep passes only the draws."""
 
-    def __init__(self, kernel: _CompiledKernel, z, doc_of, word_of, n_dt, n_tw,
-                 n_t, word_prior, prior_total, alpha):
-        super().__init__(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                         prior_total, alpha)
-        k = n_t.shape[0]
-        self._kernel = kernel  # keeps the library loaded
-        self._arrays = (z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                        prior_total, np.empty(k, dtype=np.float64))
-        pointers = [a.ctypes.data for a in self._arrays]
-        self._head = (self._tokens, n_dt.shape[0], n_tw.shape[0], k,
-                      *pointers[:8], float(alpha))
-        self._weights = pointers[8]
+def _compiled_sampler(fn, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+                      prior_total, alpha) -> _Sampler:
+    """A sampler on the compiled kernel `fn`. It takes every array pointer
+    and allocates the kernel's weights buffer once; a sweep passes only the
+    draws. The kernel updates the arrays in place, so closing it has
+    nothing to do."""
+    _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
+    k = n_t.shape[0]
+    # data_as pointers keep their arrays alive, so the sweep holds every
+    # array whose pointer it passes
+    *pointers, weights = (a.ctypes.data_as(ctypes.c_void_p) for a in (
+        z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
+        np.empty(k, dtype=np.float64)))
+    head = (z.shape[0], n_dt.shape[0], n_tw.shape[0], k, *pointers, float(alpha))
 
-    def _sweep(self, u: np.ndarray) -> None:
-        status = self._kernel.fn(*self._head, u.ctypes.data, self._weights)
+    def sweep(u: np.ndarray) -> None:
+        status = fn(*head, u.ctypes.data, weights)
         if status == 1:
             raise AssertionError("degenerate sampling weight normalizer")
         if status == 2:
             raise IndexError("document, word or topic id out of range")
 
-
-class _CompiledKernel:
-    """ctypes binding of the compiled `tagtopics_sweep`."""
-
-    def __init__(self, path: Path):
-        self._lib = ctypes.CDLL(str(path))  # keeps the library loaded
-        fn = self._lib.tagtopics_sweep
-        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-        # prior_total, alpha, u and the weights buffer
-        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 8
-                       + [ctypes.c_double] + [ctypes.c_void_p] * 2)
-        fn.restype = ctypes.c_int
-        self.fn = fn
-
-    def open(self, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-             prior_total, alpha) -> _CompiledSampler:
-        return _CompiledSampler(self, z, doc_of, word_of, n_dt, n_tw, n_t,
-                                word_prior, prior_total, alpha)
+    return _Sampler(z.shape[0], sweep)
 
 
 def _library_path() -> Path:
@@ -337,18 +318,25 @@ def _build() -> Path:
 
 
 @functools.cache
-def _compiled_kernel() -> _CompiledKernel | None:
-    """Build and load the C kernel once per process; None if that fails."""
+def _compiled_kernel() -> Callable[..., _Sampler] | None:
+    """Build and bind the C kernel once per process: the factory of samplers
+    on it, or None if that fails."""
     try:
         path = _build()
-        kernel = _CompiledKernel(path)
+        # the function keeps its library loaded
+        fn = ctypes.CDLL(str(path)).tagtopics_sweep
     except subprocess.CalledProcessError as exc:
         reason = f"compiler failed: {exc.stderr.strip() or exc}"
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
+        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+        # prior_total, alpha, u and the weights buffer
+        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 8
+                       + [ctypes.c_double] + [ctypes.c_void_p] * 2)
+        fn.restype = ctypes.c_int
         logger.info("Gibbs sweep backend: c (%s)", path)
-        return kernel
+        return functools.partial(_compiled_sampler, fn)
     logger.warning("C sweep kernel unavailable (%s); falling back to the "
                    "pure-Python kernel", reason)
     logger.info("Gibbs sweep backend: python")
@@ -358,29 +346,24 @@ def _compiled_kernel() -> _CompiledKernel | None:
 def backends() -> dict[str, Callable[..., _Sampler]]:
     """Every sampler backend that runs here, by name, the one
     :func:`open_sampler` uses first; each takes :func:`open_sampler`'s
-    arguments."""
+    arguments. The only code that picks a backend."""
     compiled = _compiled_kernel()
-    found: dict[str, Callable[..., _Sampler]] = (
-        {} if compiled is None else {"c": compiled.open})
-    found["python"] = _PythonSampler
-    return found
+    return ({} if compiled is None else {"c": compiled}) | {"python": _python_sampler}
 
 
 def open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
                  alpha) -> _Sampler:
-    """A sampler over one training's state, on the compiled kernel, or on
-    the pure-Python one when the C kernel could not be built; use it as a
-    context manager, whose exit, normal or by an exception, leaves the
-    arrays holding the sampler's state. Until then the arrays belong to the
+    """A sampler over one training's state on the first of :func:`backends`:
+    the C kernel, or the pure-Python one when it could not be built. Use it
+    as a context manager, whose exit, normal or by an exception, leaves the
+    arrays holding the sampler's state; until then the arrays belong to the
     sampler. ``len(sampler)`` is the token count.
 
     z, doc_of and word_of are int32, the count tables int64 and the priors
     float64, all C-contiguous; anything else raises TypeError or ValueError,
     and an id out of range IndexError, before a count changes."""
-    compiled = _compiled_kernel()
-    factory = _PythonSampler if compiled is None else compiled.open
-    return factory(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-                   prior_total, alpha)
+    return next(iter(backends().values()))(
+        z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha)
 
 
 def run_sweep(sampler: _Sampler, u: np.ndarray) -> None:
@@ -396,10 +379,7 @@ def run_sweep(sampler: _Sampler, u: np.ndarray) -> None:
     sampler. A weight total that is not positive raises AssertionError."""
     if sampler._closed:
         raise ValueError("sweep on a closed sampler")
-    if not isinstance(u, np.ndarray) or u.dtype != np.float64:
-        got = u.dtype if isinstance(u, np.ndarray) else type(u).__name__
-        raise TypeError(f"u must be a float64 array, got {got}")
-    if u.shape != (len(sampler),) or not u.flags.c_contiguous:
-        raise ValueError(f"u must be a C-contiguous array of {len(sampler)} "
-                         f"draws, got shape {u.shape}")
+    _check_array("u", u, np.float64, 1)
+    if u.shape != (len(sampler),):
+        raise ValueError(f"u must hold {len(sampler)} draws, got shape {u.shape}")
     sampler._sweep(u)

@@ -268,14 +268,15 @@ def train(
         assignments=assignments,
     )
 
-    word_prior, prior_total = model.word_prior()
-    doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
-    u = np.empty(len(z_flat))  # each sweep's uniforms, drawn in place
-    with open_sampler(z_flat, doc_of, word_of, model.n_dt, model.n_tw, model.n_t,
-                      word_prior, prior_total, alpha) as sampler:
-        for _ in range(iterations):
-            rng.random(out=u)
-            run_sweep(sampler, u)
+    if iterations > 0:
+        word_prior, prior_total = model.word_prior()
+        doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
+        u = np.empty(len(z_flat))  # each sweep's uniforms, drawn in place
+        with open_sampler(z_flat, doc_of, word_of, model.n_dt, model.n_tw,
+                          model.n_t, word_prior, prior_total, alpha) as sampler:
+            for _ in range(iterations):
+                rng.random(out=u)
+                run_sweep(sampler, u)
 
     model.check_counts()
     return model
@@ -359,8 +360,13 @@ class EvaluationReport:
         }
 
 
-def _safe_div(num: int, den: int) -> float:
-    return num / den if den else 0.0
+def _metrics(tp: int, predicted: int, actual: int) -> ClassMetrics:
+    """Precision, recall and F1 from the true positives and the predicted
+    and actual totals; 0.0 where a denominator is zero."""
+    precision = tp / predicted if predicted else 0.0
+    recall = tp / actual if actual else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return ClassMetrics(precision, recall, f1)
 
 
 def evaluate(
@@ -386,37 +392,17 @@ def evaluate(
     for key, g in gold.items():
         counts[index[g]][index[predictions[key]]] += 1
 
-    total = len(gold)
-    correct = sum(counts[i][i] for i in range(len(labels)))
-    accuracy = correct / total
-
-    per_class: dict[str, ClassMetrics] = {}
-    for name in labels:
-        i = index[name]
-        tp = counts[i][i]
-        fp = sum(counts[j][i] for j in range(len(labels))) - tp
-        fn = sum(counts[i]) - tp
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[name] = ClassMetrics(precision, recall, f1)
+    # per label: true positives, predicted (column) and actual (row) totals
+    tallies = {name: (counts[i][i], sum(row[i] for row in counts), sum(counts[i]))
+               for name, i in index.items()}
+    accuracy = sum(tp for tp, _, _ in tallies.values()) / len(gold)
+    per_class = {name: _metrics(*tally) for name, tally in tallies.items()}
 
     gold_classes = tuple(sorted(set(gold.values())))
     macro_p = sum(per_class[c].precision for c in gold_classes) / len(gold_classes)
     macro_r = sum(per_class[c].recall for c in gold_classes) / len(gold_classes)
     macro_f = sum(per_class[c].f1 for c in gold_classes) / len(gold_classes)
-
-    tp_sum = sum(counts[index[c]][index[c]] for c in gold_classes)
-    fp_sum = sum(
-        sum(counts[j][index[c]] for j in range(len(labels))) - counts[index[c]][index[c]]
-        for c in gold_classes
-    )
-    fn_sum = sum(
-        sum(counts[index[c]]) - counts[index[c]][index[c]] for c in gold_classes
-    )
-    micro_p = _safe_div(tp_sum, tp_sum + fp_sum)
-    micro_r = _safe_div(tp_sum, tp_sum + fn_sum)
-    micro_f = 2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
+    micro = _metrics(*map(sum, zip(*(tallies[c] for c in gold_classes))))
 
     return EvaluationReport(
         labels=labels,
@@ -427,9 +413,9 @@ def evaluate(
         macro_precision=macro_p,
         macro_recall=macro_r,
         macro_f1=macro_f,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f,
+        micro_precision=micro.precision,
+        micro_recall=micro.recall,
+        micro_f1=micro.f1,
     )
 
 

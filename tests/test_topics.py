@@ -2,10 +2,12 @@
 training determinism and invariants, classification, evaluation metrics,
 gold-label derivation, and model persistence."""
 
+import gc
 import json
 import math
 import shutil
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,7 +342,7 @@ class TestKernel:
         try:
             for k in (3, 3, 5, 3):
                 state = self.setup_state(rng, k=k)
-                sweep_through(_gibbs._PythonSampler, state, 0.01,
+                sweep_through(_gibbs._python_sampler, state, 0.01,
                               [rng.random(len(state[0]))] * 2)
             info = _gibbs._unrolled_sweep.cache_info()
             assert (info.misses, info.hits) == (2, 2)
@@ -401,6 +403,28 @@ class TestKernel:
                 pass
             with pytest.raises(ValueError, match="closed"):
                 run_sweep(sampler, u)
+
+    def test_compiled_sampler_keeps_its_arrays_alive(self):
+        # the C sweep passes raw pointers, so the sampler must hold every
+        # array it points into, also when the caller keeps none of them
+        factory = _gibbs.backends().get("c")
+        if factory is None:
+            pytest.skip("no C compiler: the C kernel was not built")
+        rng = np.random.default_rng(13)
+        state = self.setup_state(rng)
+        u = rng.random(len(state[0]))
+        fresh = [a.copy() for a in state]
+        refs = [weakref.ref(a) for a in fresh]
+        sampler = factory(*fresh, 0.01)
+        del fresh
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        with sampler:
+            run_sweep(sampler, u)
+        replay = tuple(a.copy() for a in state)
+        replay_sweep(*replay, 0.01, u)
+        for ref, want in zip(refs, replay):
+            np.testing.assert_array_equal(ref(), want)
 
     def test_fallback_when_build_fails(self, monkeypatch, caplog):
         docs = small_corpus()
@@ -503,6 +527,19 @@ class TestTrain:
         assert int(model.n_t.sum()) == total_tokens
         assert model.num_topics == 3
         assert model.n_dt.shape == (20, 3)
+
+    def test_no_sampler_at_zero_sweeps(self, monkeypatch):
+        def no_sampler(*args):
+            raise AssertionError("sampler opened for 0 sweeps")
+
+        monkeypatch.setattr(topics_mod, "open_sampler", no_sampler)
+        docs = small_corpus()
+        model = train(docs, SeedSpec(seeded=(), unseeded=3), iterations=0, rng_seed=5)
+        # with no seed words every token draws its first topic from all three
+        tokens = sum(len(d.tokens) for d in docs)
+        initial = np.random.default_rng(5).integers(np.full(tokens, 3))
+        np.testing.assert_array_equal(np.concatenate(model.assignments), initial)
+        assert model.iterations == 0
 
     def test_vocabulary_first_appearance_order(self):
         model = train(
@@ -706,6 +743,20 @@ class TestEvaluate:
         assert report.macro_recall == 0.5
         un = report.per_class[UNASSIGNED]
         assert (un.precision, un.recall, un.f1) == (0.0, 0.0, 0.0)
+
+    def test_micro_pools_gold_classes_only(self):
+        # gold a: 3 predicted a, 1 unassigned; gold b: 1 predicted a, 2 b, 1
+        # unassigned. Micro pools a and b: tp 3 + 2, predicted 4 + 2, actual
+        # 4 + 4. The two unassigned predictions miss their gold class, so
+        # they lower recall, but they are no gold class's predictions.
+        gold = {str(i): "a" if i < 4 else "b" for i in range(8)}
+        pred = dict(zip(gold, ["a", "a", "a", UNASSIGNED,
+                               "a", "b", "b", UNASSIGNED]))
+        report = evaluate(pred, gold)
+        assert report.matrix == ((3, 0, 1), (1, 2, 1), (0, 0, 0))
+        assert report.micro_precision == 5 / 6
+        assert report.micro_recall == 5 / 8
+        assert abs(report.micro_f1 - 5 / 7) <= 1e-12
 
     def test_mismatched_keys_rejected(self):
         with pytest.raises(DataError):
