@@ -1,23 +1,46 @@
 /* One collapsed Gibbs sweep over every token position, in order.
  *
- * Mirrors the pure-Python kernel in _gibbs.py operation for operation, so
+ * Runs the algorithm of the generated pure-Python sweep in _gibbs.py, so
  * both give bit-identical results. Build with -ffp-contract=off: a fused
  * multiply-add would round differently. All arrays are C-contiguous; the
  * caller checks dtypes and shapes, this file checks every index it follows.
  *
+ * Beside each count table the caller passes its float64 factor table:
+ * f_dt = n_dt + alpha, f_tw = n_tw + word_prior and f_t = n_t + prior_total,
+ * each entry the double its count gives. A topic other than the token's old
+ * topic weighs f_dt * f_tw / f_t; the old topic's weight lowers its three
+ * counts inline, so the token is never removed and re-added. The running
+ * sum of the weights goes into `weights`, and the draw picks the first
+ * topic whose sum exceeds it. Counts, factors and z are written only when
+ * the token moves to another topic.
+ *
  * Returns 0 on success, 1 when a weight total is not positive (zero or NaN),
  * 2 when a document, word or topic id is out of range. Ids are checked
- * before any count changes; a degenerate total stops the sweep mid-way.
+ * before any count changes; a degenerate total stops the sweep mid-way,
+ * after removing that token from its old topic's counts and factors.
  */
 
 #include <stdint.h>
 
+/* Add step (+1 or -1) to topic t's three counts and refresh their factors. */
+static void count(int64_t t, int64_t step, int64_t *row_d, double *fd,
+                  int64_t *row_w, double *fw, const double *pw, int64_t *n_t,
+                  double *f_t, const double *prior_total, double alpha)
+{
+    row_d[t] += step;
+    fd[t] = (double)row_d[t] + alpha;
+    row_w[t] += step;
+    fw[t] = (double)row_w[t] + pw[t];
+    n_t[t] += step;
+    f_t[t] = (double)n_t[t] + prior_total[t];
+}
+
 int tagtopics_sweep(int64_t n_tokens, int64_t n_docs, int64_t n_words,
                     int64_t k, int32_t *z, const int32_t *doc_of,
                     const int32_t *word_of, int64_t *n_dt, int64_t *n_tw,
-                    int64_t *n_t, const double *word_prior,
-                    const double *prior_total, double alpha, const double *u,
-                    double *weights)
+                    int64_t *n_t, double *f_dt, double *f_tw, double *f_t,
+                    const double *word_prior, const double *prior_total,
+                    double *weights, double alpha, const double *u)
 {
     for (int64_t i = 0; i < n_tokens; i++) {
         if (doc_of[i] < 0 || doc_of[i] >= n_docs || word_of[i] < 0
@@ -27,35 +50,40 @@ int tagtopics_sweep(int64_t n_tokens, int64_t n_docs, int64_t n_words,
     for (int64_t i = 0; i < n_tokens; i++) {
         int64_t *row_d = n_dt + (int64_t)doc_of[i] * k;
         int64_t *row_w = n_tw + (int64_t)word_of[i] * k;
-        const double *prior_w = word_prior + (int64_t)word_of[i] * k;
+        double *fd = f_dt + (int64_t)doc_of[i] * k;
+        double *fw = f_tw + (int64_t)word_of[i] * k;
+        const double *pw = word_prior + (int64_t)word_of[i] * k;
         int64_t t = z[i];
-        row_d[t] -= 1;
-        row_w[t] -= 1;
-        n_t[t] -= 1;
-        double total = 0.0;
-        for (int64_t tt = 0; tt < k; tt++) {
-            double wt = ((double)row_d[tt] + alpha)
-                        * ((double)row_w[tt] + prior_w[tt])
-                        / ((double)n_t[tt] + prior_total[tt]);
-            weights[tt] = wt;
-            total += wt;
-        }
-        if (!(total > 0.0))
-            return 1;
-        double r = u[i] * total;
-        int64_t new_t = k - 1;
         double acc = 0.0;
-        for (int64_t tt = 0; tt < k; tt++) {
-            acc += weights[tt];
-            if (r < acc) {
+        for (int64_t tt = 0; tt < t; tt++) {
+            acc += fd[tt] * fw[tt] / f_t[tt];
+            weights[tt] = acc;
+        }
+        acc += ((double)(row_d[t] - 1) + alpha)
+               * ((double)(row_w[t] - 1) + pw[t])
+               / ((double)(n_t[t] - 1) + prior_total[t]);
+        weights[t] = acc;
+        for (int64_t tt = t + 1; tt < k; tt++) {
+            acc += fd[tt] * fw[tt] / f_t[tt];
+            weights[tt] = acc;
+        }
+        if (!(acc > 0.0)) {
+            count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+            return 1;
+        }
+        double r = u[i] * acc;
+        int64_t new_t = k - 1;
+        for (int64_t tt = 0; tt < k - 1; tt++) {
+            if (r < weights[tt]) {
                 new_t = tt;
                 break;
             }
         }
-        z[i] = (int32_t)new_t;
-        row_d[new_t] += 1;
-        row_w[new_t] += 1;
-        n_t[new_t] += 1;
+        if (new_t != t) {
+            z[i] = (int32_t)new_t;
+            count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+            count(new_t, 1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+        }
     }
     return 0;
 }

@@ -6,11 +6,15 @@ library under the user cache directory (`$XDG_CACHE_HOME/tagtopics`, by
 default `~/.cache/tagtopics`), named by a hash of the C source, the compiler
 flags and the platform, so it also works from a source checkout with no
 install step. When no compiler is found or the build fails, a pure-Python
-kernel over plain lists runs instead, with bit-identical results: about 450
-ns per token and sweep against 11 ns for the C kernel on acceptance
-criterion 1's corpus (2 cores, Python 3.11), some 40 times slower. The
-sweep is strictly sequential over token positions, so results are
-deterministic given the per-sweep uniform draws handed in by the caller.
+kernel over plain lists runs instead, with bit-identical results, some 50
+times slower: about 1,040 ns per token and sweep against 20 ns for the C
+kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
+timed in one session (2 cores, Python 3.11). Both run one algorithm: beside
+each count table they keep its float64 factor (count + prior), the old
+topic's weight lowers its counts inline, and counts, factors and the
+assignment are written only when a token moves. The sweep is strictly
+sequential over token positions, so results are deterministic given the
+per-sweep uniform draws handed in by the caller.
 
 A training opens one sampler over its state arrays with :func:`open_sampler`
 and calls :func:`run_sweep` once per sweep:
@@ -30,7 +34,8 @@ checks only its draws. The arrays belong to the sampler until it closes and
 hold its state only after that: the pure-Python backend works on lists and
 writes them back on close, also when a sweep raised. The C kernel updates
 the arrays in place and scans every id on each sweep before it changes a
-count, since it follows them as pointers.
+count, since it follows them as pointers; its factor tables are dropped on
+close.
 """
 
 from __future__ import annotations
@@ -214,15 +219,25 @@ class _Sampler:
             self._close()
 
 
+def _factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha):
+    """The float64 factor each count enters the weights with: n_dt + alpha,
+    n_tw + word_prior and n_t + prior_total. Both backends start from these
+    tables and recompute an entry from its count whenever that count
+    changes, so every factor is the very double the formula in
+    :func:`run_sweep` gives; int + float in numpy is the same double as in
+    Python and in C. Yielded one at a time, so a caller that converts each
+    table frees it before the next is built."""
+    yield n_dt + float(alpha)
+    yield n_tw + word_prior
+    yield n_t + prior_total
+
+
 def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
                     prior_total, alpha) -> _Sampler:
-    """A sampler on the pure-Python backend. It copies the arrays to plain
-    lists, where element access is far cheaper than on numpy scalars, and
-    writes them back when it closes, also after a sweep raised. Beside each
-    count table it keeps its factor as a float list (count + alpha, count +
-    prior, total + prior total), each entry recomputed from its count
-    whenever that count changes, so every factor is the very double the
-    formula in :func:`run_sweep` gives.
+    """A sampler on the pure-Python backend. It copies the arrays and the
+    factor tables of :func:`_factor_tables` to plain lists, where element
+    access is far cheaper than on numpy scalars, and writes the arrays back
+    when it closes, also after a sweep raised.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -237,12 +252,11 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
     # no tokens: nothing to sample, and k may be 0, with no sweep source
     fn = _unrolled_sweep(len(tot)) if zs else lambda *args: None
     alpha = float(alpha)
-    # the sweep's arguments before and after the draws; int + float in numpy
-    # is the same double as in Python
+    # the sweep's arguments before and after the draws
     head = [zs, doc_of.tolist(), word_of.tolist()]
-    tail = [dt, tw, tot, (n_dt + alpha).tolist(), (n_tw + word_prior).tolist(),
-            (n_t + prior_total).tolist(), word_prior.tolist(),
-            prior_total.tolist(), alpha]
+    tail = [dt, tw, tot, *(f.tolist() for f in _factor_tables(
+        n_dt, n_tw, n_t, word_prior, prior_total, alpha)),
+        word_prior.tolist(), prior_total.tolist(), alpha]
 
     def close() -> None:
         # free the read-only and factor lists before the write-back builds
@@ -257,27 +271,30 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
 
 def _compiled_sampler(fn, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
                       prior_total, alpha) -> _Sampler:
-    """A sampler on the compiled kernel `fn`. It takes every array pointer
-    and allocates the kernel's weights buffer once; a sweep passes only the
-    draws. The kernel updates the arrays in place, so closing it has
-    nothing to do."""
+    """A sampler on the compiled kernel `fn`. It makes the factor tables of
+    :func:`_factor_tables` and the kernel's weights buffer once and takes
+    every array pointer; a sweep passes only the draws. The kernel updates
+    the arrays in place, so closing only drops what the sampler holds, the
+    tables among it, before the caller builds its own after the sweeps."""
     _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
     k = n_t.shape[0]
     # data_as pointers keep their arrays alive, so the sweep holds every
-    # array whose pointer it passes
-    *pointers, weights = (a.ctypes.data_as(ctypes.c_void_p) for a in (
-        z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
-        np.empty(k, dtype=np.float64)))
-    head = (z.shape[0], n_dt.shape[0], n_tw.shape[0], k, *pointers, float(alpha))
+    # array whose pointer it passes, the tables it made among them
+    head = [z.shape[0], n_dt.shape[0], n_tw.shape[0], k, *(
+        a.ctypes.data_as(ctypes.c_void_p) for a in (
+            z, doc_of, word_of, n_dt, n_tw, n_t,
+            *_factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha),
+            word_prior, prior_total, np.empty(k, dtype=np.float64))),
+        float(alpha)]
 
     def sweep(u: np.ndarray) -> None:
-        status = fn(*head, u.ctypes.data, weights)
+        status = fn(*head, u.ctypes.data)
         if status == 1:
             raise AssertionError("degenerate sampling weight normalizer")
         if status == 2:
             raise IndexError("document, word or topic id out of range")
 
-    return _Sampler(z.shape[0], sweep)
+    return _Sampler(z.shape[0], sweep, head.clear)
 
 
 def _library_path() -> Path:
@@ -330,10 +347,10 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
-        # prior_total, alpha, u and the weights buffer
-        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 8
-                       + [ctypes.c_double] + [ctypes.c_void_p] * 2)
+        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, f_dt, f_tw, f_t,
+        # word_prior, prior_total and the weights buffer, alpha and u
+        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 12
+                       + [ctypes.c_double, ctypes.c_void_p])
         fn.restype = ctypes.c_int
         logger.info("Gibbs sweep backend: c (%s)", path)
         return functools.partial(_compiled_sampler, fn)

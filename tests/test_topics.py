@@ -215,6 +215,45 @@ class TestKernel:
                 for got, want in zip(got_state[:6], replay[:6]):
                     np.testing.assert_array_equal(got, want, err_msg=name)
 
+    def test_backends_agree_on_a_settled_chain(self):
+        # 200 sweeps through one sampler per backend on planted topics: each
+        # document draws most words from its topic's six, two of them
+        # seeded, so after the first sweeps most tokens keep their topic.
+        # alpha and beta lie below half an ulp of 1.0, so a lowered count
+        # of 0 gives the prior itself but (1 + prior) - 1 gives 0; the
+        # one-token documents and rare words make that decide draws
+        rng = np.random.default_rng(21)
+        k, per_topic, rare, d_count, tiny = 4, 6, 30, 40, 1e-18
+        lengths = rng.integers(1, 9, d_count)
+        doc_of = np.repeat(np.arange(d_count, dtype=np.int32), lengths)
+        n = len(doc_of)
+        planted = rng.integers(0, k, d_count)[doc_of] * per_topic
+        word_of = np.where(rng.random(n) < 0.9, planted + rng.integers(0, per_topic, n),
+                           k * per_topic + rng.integers(0, rare, n)).astype(np.int32)
+        z = rng.integers(0, k, n).astype(np.int32)
+        v = k * per_topic + rare
+        n_dt, n_tw = np.zeros((d_count, k), dtype=np.int64), np.zeros((v, k), dtype=np.int64)
+        np.add.at(n_dt, (doc_of, z), 1)
+        np.add.at(n_tw, (word_of, z), 1)
+        prior = np.full((v, k), tiny)
+        for t in range(k):
+            prior[t * per_topic:t * per_topic + 2, t] += 0.5
+        state = (z, doc_of, word_of, n_dt, n_tw, n_dt.sum(axis=0), prior, prior.sum(axis=0))
+        draws = [rng.random(n) for _ in range(200)]
+        kernels = _gibbs.backends()
+        runs = {name: tuple(a.copy() for a in state) for name in kernels}
+        for name, factory in kernels.items():
+            sweep_through(factory, runs[name], tiny, draws)
+        replay = tuple(a.copy() for a in state)
+        for u in draws[:-1]:
+            replay_sweep(*replay, tiny, u)
+        last = replay[0].copy()
+        replay_sweep(*replay, tiny, draws[-1])
+        assert (replay[0] != last).sum() < n / 10  # settled: few tokens move
+        for name, got_state in runs.items():
+            for got, want in zip(got_state[:6], replay[:6]):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
     def test_draws_on_a_weight_boundary_agree(self):
         # r = u * total placed exactly on, and just below, each running sum
         # of the first token's weights: a kernel whose sums differ from the
@@ -406,7 +445,8 @@ class TestKernel:
 
     def test_compiled_sampler_keeps_its_arrays_alive(self):
         # the C sweep passes raw pointers, so the sampler must hold every
-        # array it points into, also when the caller keeps none of them
+        # array it points into while it is open: the caller's, also when
+        # the caller keeps none of them, and the factor tables it makes
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -419,12 +459,41 @@ class TestKernel:
         del fresh
         gc.collect()
         assert all(ref() is not None for ref in refs)
+        # NaN-filled arrays of the tables' shapes take over any table memory
+        # freed too early, and a sweep reading it would not match the replay
+        shapes = (state[3].shape, state[4].shape, state[5].shape)
+        garbage = [np.full(shape, np.nan) for shape in shapes for _ in range(8)]
+        del garbage
         with sampler:
             run_sweep(sampler, u)
+            arrays = [ref() for ref in refs]
         replay = tuple(a.copy() for a in state)
         replay_sweep(*replay, 0.01, u)
-        for ref, want in zip(refs, replay):
-            np.testing.assert_array_equal(ref(), want)
+        for got, want in zip(arrays, replay):
+            np.testing.assert_array_equal(got, want)
+
+    def test_compiled_sampler_frees_its_tables_on_close(self):
+        # the factor tables, 8 bytes per count, live while the sampler is
+        # open; closing drops them, so a training's count check after the
+        # sweeps does not hold them beside its own tables
+        factory = _gibbs.backends().get("c")
+        if factory is None:
+            pytest.skip("no C compiler: the C kernel was not built")
+        rng = np.random.default_rng(17)
+        state = self.setup_state(rng, d_count=400, v=3000, k=8, n=4000)
+        u = rng.random(len(state[0]))
+        table_bytes = 8 * sum(a.size for a in state[3:6])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with factory(*state, 0.01) as sampler:
+                run_sweep(sampler, u)
+                opened, _ = tracemalloc.get_traced_memory()
+            closed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opened - before >= table_bytes
+        assert closed - before < table_bytes / 10
 
     def test_fallback_when_build_fails(self, monkeypatch, caplog):
         docs = small_corpus()
