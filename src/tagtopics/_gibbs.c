@@ -2,8 +2,11 @@
  *
  * Runs the algorithm of the generated pure-Python sweep in _gibbs.py, so
  * both give bit-identical results. Build with -ffp-contract=off: a fused
- * multiply-add would round differently. All arrays are C-contiguous; the
- * caller checks dtypes and shapes, this file checks every index it follows.
+ * multiply-add would round differently. All arrays are C-contiguous. The
+ * caller checks dtypes, shapes and every id once, and hands in z, doc_of and
+ * word_of as copies that only it and this kernel hold; the kernel writes z
+ * only with topics in [0, k), so every index it follows stays in range and
+ * no sweep checks them again.
  *
  * Beside each count table the caller passes its float64 factor table:
  * f_dt = n_dt + alpha, f_tw = n_tw + word_prior and f_t = n_t + prior_total,
@@ -14,10 +17,9 @@
  * topic whose sum exceeds it. Counts, factors and z are written only when
  * the token moves to another topic.
  *
- * Returns 0 on success, 1 when a weight total is not positive (zero or NaN),
- * 2 when a document, word or topic id is out of range. Ids are checked
- * before any count changes; a degenerate total stops the sweep mid-way,
- * after removing that token from its old topic's counts and factors.
+ * Returns 0 on success, 1 when a weight total is not positive (zero or NaN).
+ * A degenerate total stops the sweep mid-way, after removing that token from
+ * its old topic's counts and factors.
  */
 
 #include <stdint.h>
@@ -35,18 +37,13 @@ static void count(int64_t t, int64_t step, int64_t *row_d, double *fd,
     f_t[t] = (double)n_t[t] + prior_total[t];
 }
 
-int tagtopics_sweep(int64_t n_tokens, int64_t n_docs, int64_t n_words,
-                    int64_t k, int32_t *z, const int32_t *doc_of,
-                    const int32_t *word_of, int64_t *n_dt, int64_t *n_tw,
-                    int64_t *n_t, double *f_dt, double *f_tw, double *f_t,
-                    const double *word_prior, const double *prior_total,
-                    double *weights, double alpha, const double *u)
+int tagtopics_sweep(int64_t n_tokens, int64_t k, int32_t *z,
+                    const int32_t *doc_of, const int32_t *word_of,
+                    int64_t *n_dt, int64_t *n_tw, int64_t *n_t, double *f_dt,
+                    double *f_tw, double *f_t, const double *word_prior,
+                    const double *prior_total, double *weights, double alpha,
+                    const double *u)
 {
-    for (int64_t i = 0; i < n_tokens; i++) {
-        if (doc_of[i] < 0 || doc_of[i] >= n_docs || word_of[i] < 0
-            || word_of[i] >= n_words || z[i] < 0 || z[i] >= k)
-            return 2;
-    }
     for (int64_t i = 0; i < n_tokens; i++) {
         int64_t *row_d = n_dt + (int64_t)doc_of[i] * k;
         int64_t *row_w = n_tw + (int64_t)word_of[i] * k;

@@ -6,8 +6,8 @@ library under the user cache directory (`$XDG_CACHE_HOME/tagtopics`, by
 default `~/.cache/tagtopics`), named by a hash of the C source, the compiler
 flags and the platform, so it also works from a source checkout with no
 install step. When no compiler is found or the build fails, a pure-Python
-kernel over plain lists runs instead, with bit-identical results, some 50
-times slower: about 1,040 ns per token and sweep against 20 ns for the C
+kernel over plain lists runs instead, with bit-identical results, some 70
+times slower: about 880 ns per token and sweep against 12.5 ns for the C
 kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
 timed in one session (2 cores, Python 3.11). Both run one algorithm: beside
 each count table they keep its float64 factor (count + prior), the old
@@ -31,11 +31,13 @@ and is the only code that picks one; :func:`open_sampler` opens its first.
 
 The state is checked and converted once, when the sampler opens; a sweep
 checks only its draws. The arrays belong to the sampler until it closes and
-hold its state only after that: the pure-Python backend works on lists and
-writes them back on close, also when a sweep raised. The C kernel updates
-the arrays in place and scans every id on each sweep before it changes a
-count, since it follows them as pointers; its factor tables are dropped on
-close.
+hold its state only after that: each backend works on copies of the ids it
+follows and writes the assignments back on close, also when a sweep raised.
+The pure-Python backend copies every array to lists. The C kernel keeps its
+own copies of z, doc_of and word_of, so the ids it follows as pointers stay
+as checked whatever the caller writes, and it updates the count tables,
+whose values are never indices, in place; its copies and factor tables are
+dropped on close.
 """
 
 from __future__ import annotations
@@ -271,30 +273,36 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
 
 def _compiled_sampler(fn, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
                       prior_total, alpha) -> _Sampler:
-    """A sampler on the compiled kernel `fn`. It makes the factor tables of
-    :func:`_factor_tables` and the kernel's weights buffer once and takes
-    every array pointer; a sweep passes only the draws. The kernel updates
-    the arrays in place, so closing only drops what the sampler holds, the
-    tables among it, before the caller builds its own after the sweeps."""
+    """A sampler on the compiled kernel `fn`. It copies z, doc_of and
+    word_of once they are checked, makes the factor tables of
+    :func:`_factor_tables` and the kernel's weights buffer, and takes every
+    array pointer; a sweep passes only the draws. Only the sampler holds the
+    copies and only the kernel writes them, with topics in [0, k), so the
+    ids the kernel follows stay in range without a check per sweep. The
+    count tables are shared and updated in place. Closing, also after a
+    sweep raised, writes the copied z back and drops the copies and the
+    tables, before the caller builds its own after the sweeps."""
     _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
     k = n_t.shape[0]
+    ids = [a.copy() for a in (z, doc_of, word_of)]
     # data_as pointers keep their arrays alive, so the sweep holds every
-    # array whose pointer it passes, the tables it made among them
-    head = [z.shape[0], n_dt.shape[0], n_tw.shape[0], k, *(
+    # array whose pointer it passes, the copies and tables it made among them
+    head = [z.shape[0], k, *(
         a.ctypes.data_as(ctypes.c_void_p) for a in (
-            z, doc_of, word_of, n_dt, n_tw, n_t,
+            *ids, n_dt, n_tw, n_t,
             *_factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha),
             word_prior, prior_total, np.empty(k, dtype=np.float64))),
         float(alpha)]
 
     def sweep(u: np.ndarray) -> None:
-        status = fn(*head, u.ctypes.data)
-        if status == 1:
+        if fn(*head, u.ctypes.data) == 1:
             raise AssertionError("degenerate sampling weight normalizer")
-        if status == 2:
-            raise IndexError("document, word or topic id out of range")
 
-    return _Sampler(z.shape[0], sweep, head.clear)
+    def close() -> None:
+        z[:] = ids[0]
+        del ids[:], head[:]
+
+    return _Sampler(z.shape[0], sweep, close)
 
 
 def _library_path() -> Path:
@@ -347,9 +355,10 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        # sizes, then z, doc_of, word_of, n_dt, n_tw, n_t, f_dt, f_tw, f_t,
-        # word_prior, prior_total and the weights buffer, alpha and u
-        fn.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 12
+        # n_tokens and k, then z, doc_of, word_of, n_dt, n_tw, n_t, f_dt,
+        # f_tw, f_t, word_prior, prior_total and the weights buffer, alpha
+        # and u
+        fn.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 12
                        + [ctypes.c_double, ctypes.c_void_p])
         fn.restype = ctypes.c_int
         logger.info("Gibbs sweep backend: c (%s)", path)

@@ -74,7 +74,10 @@ class TrendSeries:
 def extract_hashtags(text: str) -> list[str]:
     """All #tag occurrences in order, casefolded, duplicates retained. A tag
     body is a maximal run of word characters after '#'."""
-    return [m.group(1).casefold() for m in _HASHTAG_RE.finditer(text) if m.group(1)]
+    if "#" not in text:
+        return []
+    # (\w+) never matches empty, so every body is a tag
+    return [tag.casefold() for tag in _HASHTAG_RE.findall(text)]
 
 
 def _parse_timestamp(value: str) -> datetime:

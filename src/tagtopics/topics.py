@@ -295,25 +295,34 @@ def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
     return (row + model.alpha) / (row.sum() + model.num_topics * model.alpha)
 
 
+def _dominant_labels(model: SeededLdaModel, n_dt: np.ndarray,
+                     rng: np.random.Generator) -> list[str]:
+    """The label of each row of `n_dt`, in row order: the category of the
+    seeded topic with the highest count, `unassigned` if an unseeded topic
+    wins. Exact count ties are broken uniformly with one rng draw per tied
+    row, in row order; a row with one winner draws nothing."""
+    ties = n_dt == n_dt.max(axis=1, keepdims=True)
+    counts = ties.sum(axis=1)
+    winners = ties.argmax(axis=1)  # the first winner, right unless tied
+    for d in np.flatnonzero(counts > 1):
+        winners[d] = np.flatnonzero(ties[d])[rng.integers(counts[d])]
+    names = (*model.categories, *(UNASSIGNED,) * model.num_unseeded)
+    return [names[t] for t in winners.tolist()]
+
+
 def classify(model: SeededLdaModel, doc: int, rng: np.random.Generator) -> str:
     """Dominant-topic label for a document: the category of the seeded topic
     with the highest count, `unassigned` if an unseeded topic wins. Exact
     count ties are broken uniformly with the supplied rng."""
     if not 0 <= doc < len(model.doc_ids):
         raise IndexError(f"document index {doc} out of range")
-    row = model.n_dt[doc]
-    tied = np.flatnonzero(row == row.max())
-    topic = int(tied[0]) if len(tied) == 1 else int(tied[rng.integers(len(tied))])
-    if topic < model.num_seeded:
-        return model.categories[topic]
-    return UNASSIGNED
+    return _dominant_labels(model, model.n_dt[doc:doc + 1], rng)[0]
 
 
 def classify_all(model: SeededLdaModel, rng: np.random.Generator) -> dict[str, str]:
-    """Labels for every document, in training order."""
-    return {
-        doc_id: classify(model, d, rng) for d, doc_id in enumerate(model.doc_ids)
-    }
+    """Labels for every document, in training order, drawing from rng as
+    :func:`classify` on each document in turn would."""
+    return dict(zip(model.doc_ids, _dominant_labels(model, model.n_dt, rng)))
 
 
 @dataclass(frozen=True)

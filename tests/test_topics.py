@@ -443,10 +443,38 @@ class TestKernel:
             with pytest.raises(ValueError, match="closed"):
                 run_sweep(sampler, u)
 
+    def test_caller_writes_to_ids_do_not_reach_the_sweep(self):
+        # once the sampler is open the ids it follows are its own: ids out
+        # of range written into the caller's z, doc_of and word_of before
+        # each sweep change no draw, and closing writes the sampler's z back
+        # over the caller's
+        rng = np.random.default_rng(19)
+        state = self.setup_state(rng, d_count=30, v=50, n=400)
+        draws = [rng.random(400) for _ in range(3)]
+        replay = tuple(a.copy() for a in state)
+        for u in draws:
+            replay_sweep(*replay, 0.01, u)
+        for name, factory in _gibbs.backends().items():
+            got = tuple(a.copy() for a in state)
+            z, doc_of, word_of = got[:3]
+            with factory(*got, 0.01) as sampler:
+                for u in draws:
+                    z[:] = -1
+                    doc_of[:] = np.iinfo(np.int32).max
+                    word_of[::2], word_of[1::2] = -7, state[4].shape[0]
+                    run_sweep(sampler, u)
+                np.testing.assert_array_equal(z, -1, err_msg=name)
+            # z, n_dt, n_tw and n_t as replayed on the original ids
+            for index in (0, 3, 4, 5):
+                np.testing.assert_array_equal(got[index], replay[index], err_msg=name)
+
     def test_compiled_sampler_keeps_its_arrays_alive(self):
         # the C sweep passes raw pointers, so the sampler must hold every
-        # array it points into while it is open: the caller's, also when
-        # the caller keeps none of them, and the factor tables it makes
+        # array it points into while it is open: its own copies of the ids,
+        # the factor tables it makes, and the caller's count tables and
+        # priors, also when the caller keeps none of them. It holds the
+        # caller's z too, which closing writes back, but not the caller's
+        # doc_of and word_of, which it copied
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -454,35 +482,41 @@ class TestKernel:
         state = self.setup_state(rng)
         u = rng.random(len(state[0]))
         fresh = [a.copy() for a in state]
-        refs = [weakref.ref(a) for a in fresh]
+        held = (0, 3, 4, 5, 6, 7)
+        refs = [weakref.ref(fresh[i]) for i in held]
+        copied = [weakref.ref(fresh[i]) for i in (1, 2)]
         sampler = factory(*fresh, 0.01)
         del fresh
         gc.collect()
         assert all(ref() is not None for ref in refs)
-        # NaN-filled arrays of the tables' shapes take over any table memory
+        assert all(ref() is None for ref in copied)
+        # arrays of NaN and of ids far out of range take over any memory
         # freed too early, and a sweep reading it would not match the replay
         shapes = (state[3].shape, state[4].shape, state[5].shape)
         garbage = [np.full(shape, np.nan) for shape in shapes for _ in range(8)]
+        garbage += [np.full(len(u), -(2 ** 30), dtype=np.int32) for _ in range(8)]
         del garbage
         with sampler:
             run_sweep(sampler, u)
             arrays = [ref() for ref in refs]
         replay = tuple(a.copy() for a in state)
         replay_sweep(*replay, 0.01, u)
-        for got, want in zip(arrays, replay):
+        for got, want in zip(arrays, (replay[i] for i in held)):
             np.testing.assert_array_equal(got, want)
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
-        # the factor tables, 8 bytes per count, live while the sampler is
-        # open; closing drops them, so a training's count check after the
-        # sweeps does not hold them beside its own tables
+        # the factor tables, 8 bytes per count, and the copies of z, doc_of
+        # and word_of, 12 bytes per token, live while the sampler is open;
+        # closing drops both, so a training's count check after the sweeps
+        # does not hold them beside its own tables
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
         rng = np.random.default_rng(17)
-        state = self.setup_state(rng, d_count=400, v=3000, k=8, n=4000)
+        state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
         u = rng.random(len(state[0]))
         table_bytes = 8 * sum(a.size for a in state[3:6])
+        copy_bytes = 12 * len(u)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -492,8 +526,8 @@ class TestKernel:
             closed, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert opened - before >= table_bytes
-        assert closed - before < table_bytes / 10
+        assert opened - before >= table_bytes + copy_bytes
+        assert closed - before < min(table_bytes, copy_bytes) / 10
 
     def test_fallback_when_build_fails(self, monkeypatch, caplog):
         docs = small_corpus()
@@ -769,6 +803,24 @@ class TestClassify:
         model = make_model([[2, 0], [0, 2]], ["A"], 1)
         labels = classify_all(model, np.random.default_rng(0))
         assert labels == {"d0": "A", "d1": UNASSIGNED}
+
+    def test_classify_all_draws_as_one_document_at_a_time(self):
+        # one rng draw per tied document, in document order, none for the
+        # rest: the labels and the rng's next draw equal a per-document
+        # reference on the same seed
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 3, (300, 4))
+        rows[rng.random(300) < 0.2] = 1  # four-way ties
+        model = make_model(rows.tolist(), ["A", "B"], 2)
+        names = ("A", "B", UNASSIGNED, UNASSIGNED)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        want = {}
+        for d, row in enumerate(rows):
+            tied = np.flatnonzero(row == row.max())
+            pick = tied[want_rng.integers(len(tied))] if len(tied) > 1 else tied[0]
+            want[f"d{d}"] = names[pick]
+        assert classify_all(model, got_rng) == want
+        assert got_rng.random() == want_rng.random()
 
 
 class TestEvaluate:
