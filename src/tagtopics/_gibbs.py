@@ -6,9 +6,9 @@ library under the user cache directory (`$XDG_CACHE_HOME/tagtopics`, by
 default `~/.cache/tagtopics`), named by a hash of the C source, the compiler
 flags and the platform, so it also works from a source checkout with no
 install step. When no compiler is found or the build fails, a pure-Python
-kernel over plain lists runs instead, with bit-identical results, some 70
-times slower: about 880 ns per token and sweep against 12.5 ns for the C
-kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
+kernel over plain lists runs instead, with bit-identical results, some 50
+times slower: about 1,210 ns per token and sweep against 22-23.5 ns for the
+C kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
 timed in one session (2 cores, Python 3.11). Both run one algorithm: beside
 each count table they keep its float64 factor (count + prior), the old
 topic's weight lowers its counts inline, and counts, factors and the

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, pairwise
+from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,6 +77,10 @@ class SeedSpec:
 
 @dataclass
 class SeededLdaModel:
+    """A seeded topic model over flat token arrays: document d, in doc_ids
+    order, holds tokens offsets[d] up to offsets[d + 1] of word_of and z.
+    doc_words and assignments are per-document views of word_of and z."""
+
     vocabulary: tuple[str, ...]  # word id -> token
     doc_ids: tuple[str, ...]
     dropped_doc_ids: tuple[str, ...]
@@ -88,9 +92,10 @@ class SeededLdaModel:
     iterations: int
     rng_seed: int
     seed_word_ids: tuple[tuple[int, ...], ...]  # per seeded topic, sorted
-    doc_words: tuple[np.ndarray, ...]  # per doc, word ids (int32)
-    assignments: tuple[np.ndarray, ...]  # per doc, topic of each token (int32)
-    # counted from doc_words and assignments; the sampler updates them in place
+    word_of: np.ndarray  # (N,) int32, word id of each token
+    z: np.ndarray  # (N,) int32, topic of each token; the sampler writes it
+    offsets: np.ndarray  # (D + 1,) int64, non-decreasing from 0 to N
+    # counted from word_of, z and offsets; the sampler updates them in place
     n_dt: np.ndarray = field(init=False, repr=False)  # (D, K) int64
     n_tw: np.ndarray = field(init=False, repr=False)  # (V, K) int64
     n_t: np.ndarray = field(init=False, repr=False)  # (K,) int64
@@ -104,13 +109,15 @@ class SeededLdaModel:
             raise ValueError("mu must be non-negative and finite")
         if self.iterations < 0 or self.num_unseeded < 0:
             raise ValueError("iterations and num_unseeded must be non-negative")
-        if len(set(self.doc_ids)) != len(self.doc_ids):
-            raise ValueError("doc_ids holds a duplicate id")
+        for name in ("vocabulary", "doc_ids", "categories"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} holds a duplicate")
         if len(self.seed_word_ids) != self.num_seeded:
             raise ValueError("seed_word_ids needs exactly one list per category")
         for ids in self.seed_word_ids:
-            if list(ids) != sorted(set(ids)) or not all(0 <= w < self.vocab_size for w in ids):
-                raise ValueError("seed ids must be sorted, distinct and in [0, V)")
+            if list(ids) != sorted(set(ids)) or not all(
+                    type(w) is int and 0 <= w < self.vocab_size for w in ids):
+                raise ValueError("seed ids must be sorted, distinct integers in [0, V)")
         self.n_dt, self.n_tw, self.n_t = self._count_tables()
 
     @property
@@ -125,23 +132,33 @@ class SeededLdaModel:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
+    @property
+    def doc_words(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.word_of[a:b] for a, b in pairwise(self.offsets.tolist()))
+
+    @property
+    def assignments(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.z[a:b] for a, b in pairwise(self.offsets.tolist()))
+
+    def _doc_of(self) -> np.ndarray:
+        """The document index of each token (int32), from well-formed offsets."""
+        return np.repeat(np.arange(len(self.doc_ids), dtype=np.int32), np.diff(self.offsets))
+
     def _count_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, counted from
-        doc_words and assignments: the only code that builds count tables.
-        Raises ValueError if there are no documents, doc_ids, doc_words and
-        assignments disagree in length, or an id is outside [0, V) or [0, K),
-        where bincount would count it into another cell."""
-        lengths = [len(w) for w in self.doc_words]
-        if (not lengths or len(self.doc_ids) != len(lengths)
-                or [len(z) for z in self.assignments] != lengths):
-            raise ValueError("doc_ids, doc_words and assignments disagree in length")
-        words = np.concatenate(self.doc_words)
-        topics = np.concatenate(self.assignments)
-        d, v, k = len(lengths), self.vocab_size, self.num_topics
+        word_of, z and offsets: the only code that builds count tables.
+        Raises ValueError if there are no documents, the offsets are not D + 1
+        non-decreasing entries from 0 to len(word_of) == len(z), or an id is
+        outside [0, V) or [0, K), where bincount would count it elsewhere."""
+        offsets, words, topics = self.offsets, self.word_of, self.z
+        d, v, k = len(self.doc_ids), self.vocab_size, self.num_topics
+        if (not d or offsets.shape != (d + 1,) or offsets[0] != 0 or (np.diff(offsets) < 0).any()
+                or not offsets[-1] == len(words) == len(topics)):
+            raise ValueError("doc_ids, offsets, word_of and z disagree in length")
         for name, ids, bound in (("word", words, v), ("topic", topics, k)):
             if ids.size and (ids.min() < 0 or ids.max() >= bound):
                 raise ValueError(f"{name} id outside [0, {bound})")
-        docs = np.repeat(np.arange(d, dtype=np.int64), lengths)
+        docs = self._doc_of().astype(np.int64)
         n_dt = np.bincount(docs * k + topics, minlength=d * k).reshape(d, k)
         n_tw = np.bincount(words.astype(np.int64) * k + topics, minlength=v * k)
         return n_dt, n_tw.reshape(v, k), np.bincount(topics, minlength=k)
@@ -207,12 +224,12 @@ def train(
     if not kept:
         raise DataError("corpus has no non-empty documents")
 
+    # one first-appearance pass gives the vocabulary and every token's word id
+    lengths = [len(doc.tokens) for doc in kept]
     vocab_index: dict[str, int] = {}
-    for doc in kept:
-        for token in doc.tokens:
-            if token not in vocab_index:
-                vocab_index[token] = len(vocab_index)
-    vocabulary = tuple(vocab_index)
+    word_of = np.fromiter(
+        (vocab_index.setdefault(t, len(vocab_index)) for doc in kept for t in doc.tokens),
+        dtype=np.int32, count=sum(lengths))
 
     categories = tuple(name for name, _ in seeds.seeded)
     k = len(categories) + seeds.unseeded
@@ -226,34 +243,20 @@ def train(
             )
         seed_word_ids.append(tuple(ids))
 
-    # the topics a word's tokens start in: choices[first[w]:first[w] + n_choices[w]],
-    # the topics it seeds, or all K topics if it seeds none
-    seeded_by: dict[int, list[int]] = {}
-    for t, ids in enumerate(seed_word_ids):
-        for w in ids:
-            seeded_by.setdefault(w, []).append(t)
-    choices = list(range(k))
-    first = np.zeros(len(vocabulary), dtype=np.int64)
-    n_choices = np.full(len(vocabulary), k, dtype=np.int64)
-    for w, owners in seeded_by.items():
-        first[w], n_choices[w] = len(choices), len(owners)
-        choices.extend(owners)
+    # the topics a word's tokens start in: the first n_choices[w] of
+    # owners[w], the topics it seeds, or all K topics if it seeds none
+    owners = np.tile(np.arange(k, dtype=np.int32), (len(vocab_index), 1))
+    n_choices = np.full(len(vocab_index), k, dtype=np.int64)
+    for w in {w for ids in seed_word_ids for w in ids}:
+        mine = [t for t, ids in enumerate(seed_word_ids) if w in ids]
+        owners[w, :len(mine)], n_choices[w] = mine, len(mine)
 
-    # one flat array of word ids and one of topics, which the kernel updates;
-    # the model's per-document arrays are views of them
-    lengths = [len(doc.tokens) for doc in kept]
-    word_of = np.fromiter((vocab_index[t] for d in kept for t in d.tokens),
-                          dtype=np.int32, count=sum(lengths))
-    z_flat = np.empty(len(word_of), dtype=np.int32)
-    doc_words, assignments = _per_doc(word_of, lengths), _per_doc(z_flat, lengths)
     rng = np.random.default_rng(rng_seed)
     # one uniform draw per token, in document order
-    draw = rng.integers(n_choices[word_of])
-    draw += first[word_of]
-    np.take(np.array(choices, dtype=np.int32), draw, out=z_flat)
+    z = owners[word_of, rng.integers(n_choices[word_of])]
 
     model = SeededLdaModel(
-        vocabulary=vocabulary,
+        vocabulary=tuple(vocab_index),
         doc_ids=tuple(doc.tweet_id for doc in kept),
         dropped_doc_ids=dropped,
         categories=categories,
@@ -264,15 +267,15 @@ def train(
         iterations=iterations,
         rng_seed=rng_seed,
         seed_word_ids=tuple(seed_word_ids),
-        doc_words=doc_words,
-        assignments=assignments,
+        word_of=word_of,
+        z=z,
+        offsets=np.cumsum([0, *lengths], dtype=np.int64),
     )
 
     if iterations > 0:
         word_prior, prior_total = model.word_prior()
-        doc_of = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
-        u = np.empty(len(z_flat))  # each sweep's uniforms, drawn in place
-        with open_sampler(z_flat, doc_of, word_of, model.n_dt, model.n_tw,
+        u = np.empty(len(z))  # each sweep's uniforms, drawn in place
+        with open_sampler(z, model._doc_of(), word_of, model.n_dt, model.n_tw,
                           model.n_t, word_prior, prior_total, alpha) as sampler:
             for _ in range(iterations):
                 rng.random(out=u)
@@ -280,11 +283,6 @@ def train(
 
     model.check_counts()
     return model
-
-
-def _per_doc(flat: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Consecutive views of `flat`, one per document of the given length."""
-    return tuple(flat[a:b] for a, b in pairwise([0, *accumulate(lengths)]))
 
 
 def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
@@ -469,13 +467,13 @@ def derive_gold(
 
 def save_model(model: SeededLdaModel, path) -> None:
     """Write the model as deterministic JSON (format version 2):
-    hyperparameters, vocabulary, seed ids, document ids, and per-document
-    word ids and topic assignments. The count tables are not stored:
-    :func:`load_model` counts them from the assignments. The bytes are one
+    hyperparameters, vocabulary, seed ids, document ids, and word_of and z
+    cut at the offsets into per-document lists (`doc_words`, `assignments`);
+    no count table, as :func:`load_model` counts them. The bytes are one
     compact ``json.dumps`` of the whole payload plus a newline, but every
     list, last in the payload, is encoded a few thousand items (strings or
     ids) at a time, so no list that grows with the corpus is held whole as
-    encoder input or as text."""
+    encoder input, as text or as per-document arrays."""
     head = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
@@ -492,23 +490,22 @@ def save_model(model: SeededLdaModel, path) -> None:
         ("seed_word_ids", model.seed_word_ids),
         ("doc_ids", model.doc_ids),
         ("dropped_doc_ids", model.dropped_doc_ids),
-        ("doc_words", model.doc_words),
-        ("assignments", model.assignments),
+        ("doc_words", (model.word_of[a:b] for a, b in pairwise(model.offsets))),
+        ("assignments", (model.z[a:b] for a, b in pairwise(model.offsets))),
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, separators=_SEPARATORS)[:-1])
         for key, items in lists:
             fh.write(f',"{key}":[')
-            start = size = 0
-            for end, item in enumerate(items, start=1):
+            piece, size, sep = [], 0, ""
+            for item in items:
+                piece.append(item.tolist() if isinstance(item, np.ndarray) else item)
                 size += 1 if isinstance(item, str) else 1 + len(item)
-                if size >= _SAVE_ITEMS or end == len(items):
-                    piece = json.dumps(
-                        [x.tolist() if isinstance(x, np.ndarray) else x
-                         for x in items[start:end]],
-                        separators=_SEPARATORS)
-                    fh.writelines(("," if start else "", piece[1:-1]))
-                    start, size = end, 0
+                if size >= _SAVE_ITEMS:
+                    fh.writelines((sep, json.dumps(piece, separators=_SEPARATORS)[1:-1]))
+                    piece, size, sep = [], 0, ","
+            if piece:
+                fh.writelines((sep, json.dumps(piece, separators=_SEPARATORS)[1:-1]))
             fh.write("]")
         fh.write("}\n")
 
@@ -522,24 +519,25 @@ def _field(payload: dict, key: str, kinds: tuple[type, ...], item: type | None =
     return value
 
 
-def _id_lists(payload: dict, key: str) -> tuple[np.ndarray, ...]:
-    """payload[key], a list of integer lists, as int32 views of one flat
-    array. Ids beyond 32 bits are rejected rather than wrapped."""
+def _id_lists(payload: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """payload[key], a list of integer lists, as one flat int32 array and the
+    int64 offsets of its lists. Ids beyond 32 bits are rejected, not wrapped."""
     lists = _field(payload, key, (list,), list)
     flat = list(chain.from_iterable(lists))
     if not set(map(type, flat)) <= {int}:
         raise TypeError(f"{key} holds an id that is not an integer")
     if flat and (min(flat) < -2**31 or max(flat) >= 2**31):
         raise ValueError(f"{key} holds an id beyond 32 bits")
-    return _per_doc(np.array(flat, dtype=np.int32), [len(x) for x in lists])
+    return np.array(flat, dtype=np.int32), np.cumsum([0, *map(len, lists)], dtype=np.int64)
 
 
 def load_model(path) -> SeededLdaModel:
     """Read a model written by :func:`save_model`. Every field is
-    type-checked; the model then checks its ids and hyperparameters as it
-    does for :func:`train` and counts its tables from the assignments.
-    Version 1 files, which also stored the count tables, load only if those
-    equal the counted ones. Any malformed file or payload raises DataError."""
+    type-checked, and doc_words and assignments must agree in length document
+    by document; the model then checks its ids and hyperparameters as it does
+    for :func:`train` and counts its tables from them. Version 1 files, which
+    also stored the count tables, load only if those equal the counted ones.
+    Any malformed file or payload raises DataError."""
     payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
@@ -552,9 +550,12 @@ def load_model(path) -> SeededLdaModel:
                       for key in ("num_unseeded", "iterations", "rng_seed"))
         fields.update((key, float(_field(payload, key, (int, float))))
                       for key in ("alpha", "beta", "mu"))
-        fields.update((key, _id_lists(payload, key)) for key in ("doc_words", "assignments"))
-        seeds = _id_lists(payload, "seed_word_ids")
-        model = SeededLdaModel(**fields, seed_word_ids=tuple(tuple(x.tolist()) for x in seeds))
+        fields["seed_word_ids"] = tuple(map(tuple, _field(payload, "seed_word_ids", (list,), list)))
+        word_of, offsets = _id_lists(payload, "doc_words")
+        z, z_offsets = _id_lists(payload, "assignments")
+        if not np.array_equal(z_offsets, offsets):
+            raise ValueError("doc_words and assignments disagree in length in a document")
+        model = SeededLdaModel(**fields, word_of=word_of, z=z, offsets=offsets)
         if payload["version"] == 1:  # n_tw was stored as sparse [word, topic, count]
             cells = np.argwhere(model.n_tw)
             stored = {"n_dt": model.n_dt.tolist(), "n_t": model.n_t.tolist(),

@@ -102,8 +102,8 @@ def test_criterion_01_seeded_recovery():
         np.testing.assert_array_equal(model.n_dt, rerun.n_dt)
         np.testing.assert_array_equal(model.n_tw, rerun.n_tw)
         np.testing.assert_array_equal(model.n_t, rerun.n_t)
-        for a, b in zip(model.assignments, rerun.assignments):
-            np.testing.assert_array_equal(a, b)
+        for name in ("z", "word_of", "offsets"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(rerun, name))
 
 
 # ---------------------------------------------------------------------------

@@ -551,8 +551,8 @@ class TestKernel:
         np.testing.assert_array_equal(fallback.n_dt, default.n_dt)
         np.testing.assert_array_equal(fallback.n_tw, default.n_tw)
         np.testing.assert_array_equal(fallback.n_t, default.n_t)
-        for a, b in zip(fallback.assignments, default.assignments):
-            np.testing.assert_array_equal(a, b)
+        for name in ("z", "word_of", "offsets"):
+            np.testing.assert_array_equal(getattr(fallback, name), getattr(default, name))
 
     @pytest.mark.skipif(
         shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -588,8 +588,8 @@ class TestTrain:
         np.testing.assert_array_equal(m1.n_dt, m2.n_dt)
         np.testing.assert_array_equal(m1.n_tw, m2.n_tw)
         np.testing.assert_array_equal(m1.n_t, m2.n_t)
-        for z1, z2 in zip(m1.assignments, m2.assignments):
-            np.testing.assert_array_equal(z1, z2)
+        for name in ("z", "word_of", "offsets"):
+            np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
         r1 = np.random.default_rng(1)
         r2 = np.random.default_rng(1)
         assert classify_all(m1, r1) == classify_all(m2, r2)
@@ -599,10 +599,7 @@ class TestTrain:
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
         m1 = train(docs, spec, iterations=5, rng_seed=5)
         m2 = train(docs, spec, iterations=5, rng_seed=6)
-        assert any(
-            not np.array_equal(z1, z2)
-            for z1, z2 in zip(m1.assignments, m2.assignments)
-        )
+        assert not np.array_equal(m1.z, m2.z)
 
     def test_one_run_sweep_call_per_sweep(self, monkeypatch):
         # a tracer wraps the run_sweep that topics binds at import and counts
@@ -626,7 +623,7 @@ class TestTrain:
         for sweeps in range(11):  # train checks its counts after the last sweep
             model = train(docs, spec, iterations=sweeps, rng_seed=3)
         model.check_counts()
-        total_tokens = sum(len(w) for w in model.doc_words)
+        total_tokens = len(model.word_of)
         assert int(model.n_t.sum()) == total_tokens
         assert model.num_topics == 3
         assert model.n_dt.shape == (20, 3)
@@ -641,7 +638,7 @@ class TestTrain:
         # with no seed words every token draws its first topic from all three
         tokens = sum(len(d.tokens) for d in docs)
         initial = np.random.default_rng(5).integers(np.full(tokens, 3))
-        np.testing.assert_array_equal(np.concatenate(model.assignments), initial)
+        np.testing.assert_array_equal(model.z, initial)
         assert model.iterations == 0
 
     def test_vocabulary_first_appearance_order(self):
@@ -670,7 +667,7 @@ class TestTrain:
                   list(range(model.num_topics)) for d in docs for w in d.tokens}
         rng = np.random.default_rng(7)
         expected = [owners[w][rng.integers(len(owners[w]))] for d in docs for w in d.tokens]
-        assert np.concatenate(model.assignments).tolist() == expected
+        assert model.z.tolist() == expected
 
     def test_shared_seed_word_splits_between_owners(self):
         spec = SeedSpec.from_mapping({"A": ["aa"], "B": ["aa"]}, unseeded=0)
@@ -678,8 +675,7 @@ class TestTrain:
             [doc(i, *(["aa"] * 10)) for i in range(10)], spec,
             iterations=0, rng_seed=0,
         )
-        z = np.concatenate(model.assignments)
-        assert set(z.tolist()) == {0, 1}  # both owners drawn, nothing else
+        assert set(model.z.tolist()) == {0, 1}  # both owners drawn, nothing else
 
     def test_empty_docs_dropped_with_warning(self, caplog):
         docs = [doc(1, "a"), TokenizedDoc("empty1", ()), doc(2, "b")]
@@ -747,18 +743,45 @@ class TestDocTopicDistribution:
             doc_topic_distribution(model, -1)
 
 
+class TestTokenArrays:
+    # three documents of 2, 0 and 3 tokens
+    FIELDS = dict(
+        vocabulary=("a", "b"), doc_ids=("d0", "d1", "d2"), dropped_doc_ids=(),
+        categories=("A",), num_unseeded=1, alpha=0.01, beta=0.0001, mu=0.5,
+        iterations=0, rng_seed=0, seed_word_ids=((0,),),
+        word_of=np.array([0, 1, 1, 0, 1], dtype=np.int32),
+        z=np.array([0, 1, 0, 0, 1], dtype=np.int32),
+        offsets=np.array([0, 2, 2, 5], dtype=np.int64),
+    )
+
+    def test_per_document_views(self):
+        model = SeededLdaModel(**{**self.FIELDS, "z": self.FIELDS["z"].copy()})
+        assert [w.tolist() for w in model.doc_words] == [[0, 1], [], [1, 0, 1]]
+        assert [t.tolist() for t in model.assignments] == [[0, 1], [], [0, 0, 1]]
+        np.testing.assert_array_equal(model.n_dt, [[1, 1], [0, 0], [2, 1]])
+        model.assignments[2][0] = 1  # a view: the write reaches z
+        assert model.z.tolist() == [0, 1, 1, 0, 1]
+
+    @pytest.mark.parametrize("change", [
+        {"offsets": np.array([1, 2, 2, 5])},  # does not start at 0
+        {"offsets": np.array([0, 3, 2, 5])},  # decreases
+        {"offsets": np.array([0, 2, 2, 4])},  # ends before the last token
+        {"offsets": np.array([0, 2, 5])},  # one document short of doc_ids
+        {"z": np.array([0, 1, 0, 0], dtype=np.int32)},  # shorter than word_of
+        {"doc_ids": (), "offsets": np.array([0])},  # no documents
+    ])
+    def test_malformed_token_arrays_rejected(self, change):
+        with pytest.raises(ValueError, match="disagree in length"):
+            SeededLdaModel(**{**self.FIELDS, **change})
+
+
 def make_model(n_dt_rows, categories, num_unseeded):
     """Hand-built model wrapping given document-topic counts; only the fields
     classify() touches need to be meaningful."""
     n_dt = np.array(n_dt_rows, dtype=np.int64)
     d, k = n_dt.shape
     assert k == len(categories) + num_unseeded
-    doc_words = tuple(
-        np.zeros(int(row.sum()), dtype=np.int32) for row in n_dt
-    )
-    assignments = tuple(
-        np.repeat(np.arange(k, dtype=np.int32), row) for row in n_dt
-    )
+    z = np.repeat(np.tile(np.arange(k, dtype=np.int32), d), n_dt.ravel())
     return SeededLdaModel(
         vocabulary=("w",),
         doc_ids=tuple(f"d{i}" for i in range(d)),
@@ -771,8 +794,9 @@ def make_model(n_dt_rows, categories, num_unseeded):
         iterations=0,
         rng_seed=0,
         seed_word_ids=tuple(() for _ in categories),
-        doc_words=doc_words,
-        assignments=assignments,
+        word_of=np.zeros(len(z), dtype=np.int32),
+        z=z,
+        offsets=np.cumsum([0, *n_dt.sum(axis=1)]),
     )
 
 
@@ -971,8 +995,8 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.n_dt, model.n_dt)
         np.testing.assert_array_equal(loaded.n_tw, model.n_tw)
         np.testing.assert_array_equal(loaded.n_t, model.n_t)
-        for a, b in zip(loaded.assignments, model.assignments):
-            np.testing.assert_array_equal(a, b)
+        for name in ("z", "word_of", "offsets"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         assert classify_all(loaded, np.random.default_rng(3)) == classify_all(
             model, np.random.default_rng(3)
         )
@@ -1001,8 +1025,7 @@ class TestSaveLoad:
             doc_ids=tuple(f"d{i}" for i in range(docs)), dropped_doc_ids=(),
             categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
             iterations=0, rng_seed=0, seed_word_ids=((0,),),
-            doc_words=topics_mod._per_doc(ids, [length] * docs),
-            assignments=topics_mod._per_doc(ids % 3, [length] * docs),
+            word_of=ids, z=ids % 3, offsets=np.arange(docs + 1) * length,
         )
         path = tmp_path / "big.json"
         tracemalloc.start()
@@ -1024,8 +1047,7 @@ class TestSaveLoad:
             doc_ids=tuple(f"doc{i:06d}" for i in range(docs)), dropped_doc_ids=(),
             categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
             iterations=0, rng_seed=0, seed_word_ids=((0,),),
-            doc_words=topics_mod._per_doc(ids, [2] * docs),
-            assignments=topics_mod._per_doc(ids % 3, [2] * docs),
+            word_of=ids, z=ids % 3, offsets=np.arange(docs + 1) * 2,
         )
         path = tmp_path / "many.json"
         tracemalloc.start()
@@ -1068,8 +1090,8 @@ class TestSaveLoad:
         loaded = load_model(path)
         for name in ("n_dt", "n_tw", "n_t"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
-        for a, b in zip(loaded.assignments, model.assignments):
-            np.testing.assert_array_equal(a, b)
+        for name in ("z", "word_of", "offsets"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         assert classify_all(loaded, np.random.default_rng(3)) == classify_all(
             model, np.random.default_rng(3)
         )
@@ -1159,11 +1181,21 @@ def _pop_token(payload, data):
     doc.pop(i)
 
 
-def _duplicate_doc_id(payload, data):
-    ids = payload["doc_ids"]
-    i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2,
+def _move_token(payload, data):
+    # the total token count stays, so only a per-document length check sees it
+    docs = payload["assignments"]
+    i, j = data.draw(st.lists(st.integers(0, len(docs) - 1), min_size=2,
                               max_size=2, unique=True))
-    ids[i] = ids[j]
+    docs[j].append(docs[i].pop())
+
+
+def _duplicate(key):
+    def corrupt(payload, data):
+        values = payload[key]
+        i, j = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        values[i] = values[j]
+    return corrupt
 
 
 def _bad_seed(payload, data):
@@ -1213,7 +1245,10 @@ CORRUPTIONS = {
     "doc_ids shorter": lambda payload, data: payload["doc_ids"].pop(),
     "doc_words shorter": lambda payload, data: payload["doc_words"].pop(),
     "assignments shorter in one document": _pop_token,
-    "duplicate doc id": _duplicate_doc_id,
+    "assignments token moved to another document": _move_token,
+    "duplicate doc id": _duplicate("doc_ids"),
+    "duplicate vocabulary word": _duplicate("vocabulary"),
+    "duplicate category": _duplicate("categories"),
     "word id >= V": _set_token(
         "doc_words", lambda p: st.integers(min_value=len(p["vocabulary"]))),
     "word id < 0": _set_token("doc_words", lambda p: st.integers(max_value=-1)),
