@@ -2,11 +2,11 @@
  *
  * Runs the algorithm of the generated pure-Python sweep in _gibbs.py, so
  * both give bit-identical results. Build with -ffp-contract=off: a fused
- * multiply-add would round differently. All arrays are C-contiguous. The
- * caller checks dtypes, shapes and every id once, and hands in z, doc_of and
- * word_of as copies that only it and this kernel hold; the kernel writes z
- * only with topics in [0, k), so every index it follows stays in range and
- * no sweep checks them again.
+ * multiply-add would round differently. All arrays are C-contiguous; the
+ * tokens of document d are offsets[d] up to offsets[d + 1]. The caller
+ * checks every array once and hands in z, offsets and word_of as copies only
+ * it and this kernel hold; the kernel writes z only with topics in [0, k),
+ * so every index it follows stays in range and no sweep checks them again.
  *
  * Beside each count table the caller passes its float64 factor table:
  * f_dt = n_dt + alpha, f_tw = n_tw + word_prior and f_t = n_t + prior_total,
@@ -37,49 +37,51 @@ static void count(int64_t t, int64_t step, int64_t *row_d, double *fd,
     f_t[t] = (double)n_t[t] + prior_total[t];
 }
 
-int tagtopics_sweep(int64_t n_tokens, int64_t k, int32_t *z,
-                    const int32_t *doc_of, const int32_t *word_of,
+int tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
+                    const int64_t *offsets, const int32_t *word_of,
                     int64_t *n_dt, int64_t *n_tw, int64_t *n_t, double *f_dt,
                     double *f_tw, double *f_t, const double *word_prior,
                     const double *prior_total, double *weights, double alpha,
                     const double *u)
 {
-    for (int64_t i = 0; i < n_tokens; i++) {
-        int64_t *row_d = n_dt + (int64_t)doc_of[i] * k;
-        int64_t *row_w = n_tw + (int64_t)word_of[i] * k;
-        double *fd = f_dt + (int64_t)doc_of[i] * k;
-        double *fw = f_tw + (int64_t)word_of[i] * k;
-        const double *pw = word_prior + (int64_t)word_of[i] * k;
-        int64_t t = z[i];
-        double acc = 0.0;
-        for (int64_t tt = 0; tt < t; tt++) {
-            acc += fd[tt] * fw[tt] / f_t[tt];
-            weights[tt] = acc;
-        }
-        acc += ((double)(row_d[t] - 1) + alpha)
-               * ((double)(row_w[t] - 1) + pw[t])
-               / ((double)(n_t[t] - 1) + prior_total[t]);
-        weights[t] = acc;
-        for (int64_t tt = t + 1; tt < k; tt++) {
-            acc += fd[tt] * fw[tt] / f_t[tt];
-            weights[tt] = acc;
-        }
-        if (!(acc > 0.0)) {
-            count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
-            return 1;
-        }
-        double r = u[i] * acc;
-        int64_t new_t = k - 1;
-        for (int64_t tt = 0; tt < k - 1; tt++) {
-            if (r < weights[tt]) {
-                new_t = tt;
-                break;
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t *row_d = n_dt + d * k;
+        double *fd = f_dt + d * k;
+        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
+            int64_t *row_w = n_tw + (int64_t)word_of[i] * k;
+            double *fw = f_tw + (int64_t)word_of[i] * k;
+            const double *pw = word_prior + (int64_t)word_of[i] * k;
+            int64_t t = z[i];
+            double acc = 0.0;
+            for (int64_t tt = 0; tt < t; tt++) {
+                acc += fd[tt] * fw[tt] / f_t[tt];
+                weights[tt] = acc;
             }
-        }
-        if (new_t != t) {
-            z[i] = (int32_t)new_t;
-            count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
-            count(new_t, 1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+            acc += ((double)(row_d[t] - 1) + alpha)
+                   * ((double)(row_w[t] - 1) + pw[t])
+                   / ((double)(n_t[t] - 1) + prior_total[t]);
+            weights[t] = acc;
+            for (int64_t tt = t + 1; tt < k; tt++) {
+                acc += fd[tt] * fw[tt] / f_t[tt];
+                weights[tt] = acc;
+            }
+            if (!(acc > 0.0)) {
+                count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+                return 1;
+            }
+            double r = u[i] * acc;
+            int64_t new_t = k - 1;
+            for (int64_t tt = 0; tt < k - 1; tt++) {
+                if (r < weights[tt]) {
+                    new_t = tt;
+                    break;
+                }
+            }
+            if (new_t != t) {
+                z[i] = (int32_t)new_t;
+                count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+                count(new_t, 1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
+            }
         }
     }
     return 0;

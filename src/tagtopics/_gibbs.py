@@ -12,14 +12,14 @@ C kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
 timed in one session (2 cores, Python 3.11). Both run one algorithm: beside
 each count table they keep its float64 factor (count + prior), the old
 topic's weight lowers its counts inline, and counts, factors and the
-assignment are written only when a token moves. The sweep is strictly
-sequential over token positions, so results are deterministic given the
-per-sweep uniform draws handed in by the caller.
+assignment are written only when a token moves. The sweep walks the
+documents by their offsets, strictly in token order, so results are
+deterministic given the per-sweep uniform draws handed in by the caller.
 
 A training opens one sampler over its state arrays with :func:`open_sampler`
 and calls :func:`run_sweep` once per sweep:
 
-    with open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+    with open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
                       prior_total, alpha) as sampler:
         for u in draws:
             run_sweep(sampler, u)
@@ -30,14 +30,12 @@ Each backend is one factory, :func:`_compiled_sampler` or
 and is the only code that picks one; :func:`open_sampler` opens its first.
 
 The state is checked and converted once, when the sampler opens; a sweep
-checks only its draws. The arrays belong to the sampler until it closes and
-hold its state only after that: each backend works on copies of the ids it
-follows and writes the assignments back on close, also when a sweep raised.
-The pure-Python backend copies every array to lists. The C kernel keeps its
-own copies of z, doc_of and word_of, so the ids it follows as pointers stay
-as checked whatever the caller writes, and it updates the count tables,
-whose values are never indices, in place; its copies and factor tables are
-dropped on close.
+checks only its draws. The arrays belong to the sampler until it closes,
+which writes the assignments back, also when a sweep raised. The
+pure-Python backend copies every array to lists. The C kernel copies z,
+offsets and word_of, so the indices it follows stay as checked whatever the
+caller writes, and updates the count tables, whose values are never
+indices, in place; it drops its copies and factor tables on close.
 """
 
 from __future__ import annotations
@@ -74,13 +72,13 @@ def _check_array(name: str, arr, dtype, ndim: int) -> None:
         raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
 
 
-def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
+def _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
     """Reject arrays the C kernel cannot read safely (wrong dtype, a layout
-    other than C-contiguous, a read-only count table, disagreeing shapes, an
-    id out of range) and prior totals on which the two backends would not
-    agree."""
+    other than C-contiguous, a read-only count table, disagreeing shapes,
+    offsets not rising from 0 to N, an id out of range) and prior totals on
+    which the two backends would not agree."""
     typed = (
-        ("z", z, np.int32, 1), ("doc_of", doc_of, np.int32, 1),
+        ("z", z, np.int32, 1), ("offsets", offsets, np.int64, 1),
         ("word_of", word_of, np.int32, 1), ("n_dt", n_dt, np.int64, 2),
         ("n_tw", n_tw, np.int64, 2), ("n_t", n_t, np.int64, 1),
         ("word_prior", word_prior, np.float64, 2),
@@ -93,20 +91,22 @@ def _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
             raise ValueError(f"{name} must be writeable")
     n, k, v = z.shape[0], n_t.shape[0], n_tw.shape[0]
     expected = (
-        ("doc_of", doc_of, (n,)), ("word_of", word_of, (n,)),
+        ("offsets", offsets, (n_dt.shape[0] + 1,)), ("word_of", word_of, (n,)),
         ("prior_total", prior_total, (k,)), ("n_dt", n_dt, (n_dt.shape[0], k)),
         ("n_tw", n_tw, (v, k)), ("word_prior", word_prior, (v, k)),
     )
     for name, arr, shape in expected:
         if arr.shape != shape:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
+        raise ValueError(f"offsets must run from 0 to {n} without a decrease")
     # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
     if not (prior_total > 0.0).all():
         raise ValueError("prior_total must be positive")
     # plain lists accept negative indices, so check every id up front
-    for ids, bound in ((doc_of, n_dt.shape[0]), (word_of, v), (z, k)):
+    for ids, bound in ((word_of, v), (z, k)):
         if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise IndexError("document, word or topic id out of range")
+            raise IndexError("word or topic id out of range")
 
 
 def _sweep_source(k: int) -> str:
@@ -114,11 +114,12 @@ def _sweep_source(k: int) -> str:
     loops over topics unrolled into straight-line code on locals, in the
     operation order of the C kernel.
 
-    The factors of the current document (d0..) and of the topic totals
-    (s0..) stay in locals, reloaded only when the document changes or a
-    token moves. The old topic's own weight term lowers its three counts
-    inline instead of removing the token, one block per old topic, so the
-    lists are written only when the token moves to another topic."""
+    Documents are walked by their offsets, each over shared iterators of
+    words and draws (range leads the zip, so none is read past its end),
+    with its factors (d0..) and the topic totals' (s0..) in locals,
+    reloaded only at a new document or when a token moves. The old topic's
+    own weight term lowers its three counts inline instead of removing the
+    token, one block per old topic, so lists are written only on a move."""
     ts = range(k)
 
     def names(prefix: str) -> str:
@@ -157,11 +158,6 @@ def _sweep_source(k: int) -> str:
         for line in (f"    if r < a{t}:", f"        n = {t}", "        break")
     ] + [f"    n = {k - 1}", "    break"]
     body = [
-        "if d != last:",
-        "    last = d",
-        "    cd = dt[d]",
-        "    fd = dt_f[d]",
-        f"    {names('d')} = fd",
         "t = zs[i]",
         "cw = tw[w]", "fw = tw_f[w]", "pw = prior[w]",
         f"{names('w')} = fw",
@@ -178,13 +174,15 @@ def _sweep_source(k: int) -> str:
         f"    {names('s')} = tot_f",
     ]
     return "\n".join([
-        "def sweep(zs, docs, words, draws, dt, tw, tot, dt_f, tw_f, tot_f,",
+        "def sweep(zs, offsets, words, draws, dt, tw, tot, dt_f, tw_f, tot_f,",
         "          prior, prior_sum, alpha):",
         f"    {names('p')} = prior_sum",
         f"    {names('s')} = tot_f",
-        "    last = -1",
-        "    for i, d, w, r in zip(range(len(zs)), docs, words, draws):",
-        *(f"        {line}" for line in body),
+        "    words, draws = iter(words), iter(draws)",
+        "    for cd, fd, a, b in zip(dt, dt_f, offsets, offsets[1:]):",
+        f"        {names('d')} = fd",
+        "        for i, w, r in zip(range(a, b), words, draws):",
+        *(f"            {line}" for line in body),
         "",
     ])
 
@@ -234,7 +232,7 @@ def _factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha):
     yield n_t + prior_total
 
 
-def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+def _python_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
                     prior_total, alpha) -> _Sampler:
     """A sampler on the pure-Python backend. It copies the arrays and the
     factor tables of :func:`_factor_tables` to plain lists, where element
@@ -247,7 +245,7 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
     straight-line code on locals does the same arithmetic, in the same
     order, without them. The source is built from K alone, never from input
     data."""
-    _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
+    _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
     arrays = (z, n_dt, n_tw, n_t)
     lists = [a.tolist() for a in arrays]
     zs, dt, tw, tot = lists
@@ -255,7 +253,7 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
     fn = _unrolled_sweep(len(tot)) if zs else lambda *args: None
     alpha = float(alpha)
     # the sweep's arguments before and after the draws
-    head = [zs, doc_of.tolist(), word_of.tolist()]
+    head = [zs, offsets.tolist(), word_of.tolist()]
     tail = [dt, tw, tot, *(f.tolist() for f in _factor_tables(
         n_dt, n_tw, n_t, word_prior, prior_total, alpha)),
         word_prior.tolist(), prior_total.tolist(), alpha]
@@ -271,23 +269,23 @@ def _python_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
     return _Sampler(len(zs), lambda u: fn(*head, u.tolist(), *tail), close)
 
 
-def _compiled_sampler(fn, z, doc_of, word_of, n_dt, n_tw, n_t, word_prior,
+def _compiled_sampler(fn, z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
                       prior_total, alpha) -> _Sampler:
-    """A sampler on the compiled kernel `fn`. It copies z, doc_of and
+    """A sampler on the compiled kernel `fn`. It copies z, offsets and
     word_of once they are checked, makes the factor tables of
     :func:`_factor_tables` and the kernel's weights buffer, and takes every
     array pointer; a sweep passes only the draws. Only the sampler holds the
     copies and only the kernel writes them, with topics in [0, k), so the
-    ids the kernel follows stay in range without a check per sweep. The
+    indices the kernel follows stay in range without a check per sweep. The
     count tables are shared and updated in place. Closing, also after a
     sweep raised, writes the copied z back and drops the copies and the
     tables, before the caller builds its own after the sweeps."""
-    _check_state(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
+    _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
     k = n_t.shape[0]
-    ids = [a.copy() for a in (z, doc_of, word_of)]
+    ids = [a.copy() for a in (z, offsets, word_of)]
     # data_as pointers keep their arrays alive, so the sweep holds every
     # array whose pointer it passes, the copies and tables it made among them
-    head = [z.shape[0], k, *(
+    head = [n_dt.shape[0], k, *(
         a.ctypes.data_as(ctypes.c_void_p) for a in (
             *ids, n_dt, n_tw, n_t,
             *_factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha),
@@ -355,9 +353,7 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        # n_tokens and k, then z, doc_of, word_of, n_dt, n_tw, n_t, f_dt,
-        # f_tw, f_t, word_prior, prior_total and the weights buffer, alpha
-        # and u
+        # n_docs and k, twelve array pointers, alpha and u, as in _gibbs.c
         fn.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 12
                        + [ctypes.c_double, ctypes.c_void_p])
         fn.restype = ctypes.c_int
@@ -377,7 +373,7 @@ def backends() -> dict[str, Callable[..., _Sampler]]:
     return ({} if compiled is None else {"c": compiled}) | {"python": _python_sampler}
 
 
-def open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
+def open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
                  alpha) -> _Sampler:
     """A sampler over one training's state on the first of :func:`backends`:
     the C kernel, or the pure-Python one when it could not be built. Use it
@@ -385,16 +381,18 @@ def open_sampler(z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
     arrays holding the sampler's state; until then the arrays belong to the
     sampler. ``len(sampler)`` is the token count.
 
-    z, doc_of and word_of are int32, the count tables int64 and the priors
-    float64, all C-contiguous; anything else raises TypeError or ValueError,
-    and an id out of range IndexError, before a count changes."""
+    Document d is tokens offsets[d] up to offsets[d + 1] of z and word_of,
+    walked by the sampler's own copy of offsets. z and word_of are int32,
+    offsets and the count tables int64, the priors float64, all C-contiguous;
+    anything else, or offsets not rising from 0 to N, raises TypeError or
+    ValueError, and an id out of range IndexError, before a count changes."""
     return next(iter(backends().values()))(
-        z, doc_of, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha)
+        z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha)
 
 
 def run_sweep(sampler: _Sampler, u: np.ndarray) -> None:
-    """One full sweep: for each token position i, remove the token from the
-    counts, weight every topic by
+    """One full sweep: for each token position i, in order, and its document
+    d, remove the token from the counts, weight every topic by
 
         (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
 

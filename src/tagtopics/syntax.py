@@ -128,9 +128,12 @@ def _parse_block(lines: list[str]) -> DependencyTree | str | None:
         if len(cols) != 6:
             return f"expected 6 columns, got {len(cols)}"
         try:
-            rows.append(ParseNode(int(cols[0]), *cols[1:4], int(cols[4]), cols[5]))
+            index, head = int(cols[0]), int(cols[4])
+            if (str(index), str(head)) != (cols[0], cols[4]):  # int() also reads "+1", "01"
+                raise ValueError
         except ValueError:
             return "non-integer ID or HEAD"
+        rows.append(ParseNode(index, *cols[1:4], head, cols[5]))
     if tweet_id is None:
         return "missing tweet_id comment" if rows else None
     return _validate_block(rows) or DependencyTree(tweet_id, tuple(rows))

@@ -140,10 +140,6 @@ class SeededLdaModel:
     def assignments(self) -> tuple[np.ndarray, ...]:
         return tuple(self.z[a:b] for a, b in pairwise(self.offsets.tolist()))
 
-    def _doc_of(self) -> np.ndarray:
-        """The document index of each token (int32), from well-formed offsets."""
-        return np.repeat(np.arange(len(self.doc_ids), dtype=np.int32), np.diff(self.offsets))
-
     def _count_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, counted from
         word_of, z and offsets: the only code that builds count tables.
@@ -158,7 +154,7 @@ class SeededLdaModel:
         for name, ids, bound in (("word", words, v), ("topic", topics, k)):
             if ids.size and (ids.min() < 0 or ids.max() >= bound):
                 raise ValueError(f"{name} id outside [0, {bound})")
-        docs = self._doc_of().astype(np.int64)
+        docs = np.repeat(np.arange(d, dtype=np.int64), np.diff(offsets))
         n_dt = np.bincount(docs * k + topics, minlength=d * k).reshape(d, k)
         n_tw = np.bincount(words.astype(np.int64) * k + topics, minlength=v * k)
         return n_dt, n_tw.reshape(v, k), np.bincount(topics, minlength=k)
@@ -275,7 +271,7 @@ def train(
     if iterations > 0:
         word_prior, prior_total = model.word_prior()
         u = np.empty(len(z))  # each sweep's uniforms, drawn in place
-        with open_sampler(z, model._doc_of(), word_of, model.n_dt, model.n_tw,
+        with open_sampler(z, model.offsets, word_of, model.n_dt, model.n_tw,
                           model.n_t, word_prior, prior_total, alpha) as sampler:
             for _ in range(iterations):
                 rng.random(out=u)

@@ -76,19 +76,27 @@ class TestLoadParses:
             "notes.conllu:7 block skipped: missing tweet_id comment")
 
     def test_inline_rejections(self, tmp_path, caplog):
-        cases = {
-            "no root": "# tweet_id = x\n1\ta\ta\tNOUN\t2\tdep\n2\tb\tb\tNOUN\t1\tdep\n",
-            "head 9 out of range": "# tweet_id = x\n1\ta\ta\tNOUN\t9\tdep\n",
-            "not sequential": "# tweet_id = x\n3\ta\ta\tNOUN\t0\troot\n",
-            "non-integer": "# tweet_id = x\none\ta\ta\tNOUN\t0\troot\n",
-        }
-        for name, text in cases.items():
+        # each block with the reason it is skipped for; an ID or HEAD that
+        # int() reads but that would serialize spelled otherwise counts as
+        # non-integer
+        cases = [
+            ("no root", "# tweet_id = x\n1\ta\ta\tNOUN\t2\tdep\n2\tb\tb\tNOUN\t1\tdep\n"),
+            ("head 9 out of range", "# tweet_id = x\n1\ta\ta\tNOUN\t9\tdep\n"),
+            ("not sequential", "# tweet_id = x\n3\ta\ta\tNOUN\t0\troot\n"),
+            ("non-integer", "# tweet_id = x\none\ta\ta\tNOUN\t0\troot\n"),
+            ("non-integer", "# tweet_id = x\n+1\ta\ta\tNOUN\t0\troot\n"),
+            ("non-integer", "# tweet_id = x\n1\ta\ta\tNOUN\t0\troot\n0_2\tb\tb\tNOUN\t1\tdep\n"),
+            ("non-integer", "# tweet_id = x\n1\ta\ta\tNOUN\t0\troot\n2\tb\tb\tNOUN\t01\tdep\n"),
+            ("non-integer", "# tweet_id = x\n\u0661\ta\ta\tNOUN\t0\troot\n"),
+        ]
+        for reason, text in cases:
             path = tmp_path / "p.conllu"
             path.write_text(text, encoding="utf-8")
             caplog.clear()
             with caplog.at_level("WARNING", logger="tagtopics.syntax"):
-                assert load_parses(path) == [], name
-            assert len(caplog.records) == 1, name
+                assert load_parses(path) == [], text
+            assert len(caplog.records) == 1, text
+            assert reason in caplog.records[0].getMessage(), text
 
     def test_multi_sentence_tweet(self, tmp_path):
         path = tmp_path / "p.conllu"

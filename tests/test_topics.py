@@ -129,9 +129,16 @@ class TestWordPrior:
         assert total[2] == pytest.approx(v * model.beta)
 
 
-def replay_sweep(z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha, u):
+def token_docs(offsets):
+    """The document of each token, from offsets that cut the tokens into
+    documents."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def replay_sweep(z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha, u):
     """Pure-Python mirror of the kernel, accumulating in the same order."""
     k = n_t.shape[0]
+    doc_of = token_docs(offsets)
     for i in range(len(z)):
         d, w, t = doc_of[i], word_of[i], z[i]
         n_dt[d, t] -= 1
@@ -167,21 +174,26 @@ def sweep_through(factory, state, alpha, draws):
 
 
 class TestKernel:
-    def setup_state(self, rng, d_count=6, v=9, k=4, n=60):
-        doc_of = np.sort(rng.integers(0, d_count, n)).astype(np.int32)
+    def setup_state(self, rng, d_count=6, v=9, k=4, n=60, lengths=None):
+        # n tokens in d_count documents of random length, or documents of
+        # the given lengths
+        if lengths is None:
+            lengths = np.bincount(rng.integers(0, d_count, n), minlength=d_count)
+        offsets = np.cumsum([0, *lengths], dtype=np.int64)
+        d_count, n = len(lengths), int(offsets[-1])
         word_of = rng.integers(0, v, n).astype(np.int32)
         z = rng.integers(0, k, n).astype(np.int32)
         n_dt = np.zeros((d_count, k), dtype=np.int64)
         n_tw = np.zeros((v, k), dtype=np.int64)
         n_t = np.zeros(k, dtype=np.int64)
-        for d, w, t in zip(doc_of, word_of, z):
+        for d, w, t in zip(token_docs(offsets), word_of, z):
             n_dt[d, t] += 1
             n_tw[w, t] += 1
             n_t[t] += 1
         prior = np.full((v, k), 0.0001)
         prior[rng.integers(0, v, 3), rng.integers(0, k, 3)] += 0.5
         prior_total = prior.sum(axis=0)
-        return z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total
+        return z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total
 
     def test_kernel_matches_pure_python_replay(self):
         rng = np.random.default_rng(7)
@@ -201,8 +213,13 @@ class TestKernel:
         rng = np.random.default_rng(100 + k)
         kernels = _gibbs.backends()
         assert "python" in kernels
-        for d_count, v, n in ((1, 3, 1), (4, 9, 60), (30, 50, 400), (250, 400, 5000)):
-            state = self.setup_state(rng, d_count=d_count, v=v, k=k, n=n)
+        # the last shape has empty documents first, in the middle and last
+        for shape in ({"d_count": 1, "v": 3, "n": 1}, {"d_count": 4, "v": 9, "n": 60},
+                      {"d_count": 30, "v": 50, "n": 400},
+                      {"d_count": 250, "v": 400, "n": 5000},
+                      {"v": 9, "lengths": [0, 0, 5, 0, 1, 7, 0, 0, 3, 0]}):
+            state = self.setup_state(rng, k=k, **shape)
+            n = len(state[0])
             runs = {name: tuple(a.copy() for a in state) for name in kernels}
             replay = tuple(a.copy() for a in state)
             draws = [rng.random(n) for _ in range(5)]
@@ -238,7 +255,8 @@ class TestKernel:
         prior = np.full((v, k), tiny)
         for t in range(k):
             prior[t * per_topic:t * per_topic + 2, t] += 0.5
-        state = (z, doc_of, word_of, n_dt, n_tw, n_dt.sum(axis=0), prior, prior.sum(axis=0))
+        state = (z, np.cumsum([0, *lengths], dtype=np.int64), word_of, n_dt, n_tw,
+                 n_dt.sum(axis=0), prior, prior.sum(axis=0))
         draws = [rng.random(n) for _ in range(200)]
         kernels = _gibbs.backends()
         runs = {name: tuple(a.copy() for a in state) for name in kernels}
@@ -262,9 +280,9 @@ class TestKernel:
         kernels = _gibbs.backends()
         for _ in range(4):
             state = self.setup_state(rng, k=8)
-            z, doc_of, word_of, n_dt, n_tw, n_t, prior, prior_total = (
+            z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total = (
                 a.copy() for a in state)
-            d, w, t = doc_of[0], word_of[0], z[0]
+            d, w, t = token_docs(offsets)[0], word_of[0], z[0]
             n_dt[d, t] -= 1
             n_tw[w, t] -= 1
             n_t[t] -= 1
@@ -295,7 +313,7 @@ class TestKernel:
         # lone token is removed, so the weight total cannot be positive
         for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
             z = np.zeros(1, dtype=np.int32)
-            doc_of = np.zeros(1, dtype=np.int32)
+            offsets = np.array([0, 1], dtype=np.int64)
             word_of = np.zeros(1, dtype=np.int32)
             n_dt = np.array([[1, 0]], dtype=np.int64)
             n_tw = np.array([[1, 0]], dtype=np.int64)
@@ -303,14 +321,15 @@ class TestKernel:
             prior = np.zeros((1, 2))
             prior_total = np.ones(2)
             with pytest.raises(AssertionError):
-                sweep_through(factory, (z, doc_of, word_of, n_dt, n_tw, n_t,
+                sweep_through(factory, (z, offsets, word_of, n_dt, n_tw, n_t,
                                         prior, prior_total), 0.0, [np.array([0.5])])
 
     def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
         # token 3 is alone in document 1 and its word has no prior, so with
-        # alpha = 0 its weights are all zero once it is removed; tokens 0-2
-        # are resampled first and tokens 4-5 never are
-        doc_of = np.array([0, 0, 0, 1, 0, 0], dtype=np.int32)
+        # alpha = 0 its weights are all zero once it is removed; tokens 0-2,
+        # document 0, are resampled first and tokens 4-5, document 2, never
+        # are
+        offsets = np.array([0, 3, 4, 6], dtype=np.int64)
         word_of = np.array([0, 0, 0, 1, 0, 0], dtype=np.int32)
         z = np.array([0, 1, 0, 1, 1, 0], dtype=np.int32)
         prior = np.array([[0.3, 0.2], [0.0, 0.0]])
@@ -318,7 +337,7 @@ class TestKernel:
         states = {}
         for name, factory in (("open_sampler", _gibbs.open_sampler),
                               *_gibbs.backends().items()):
-            state = (z.copy(), doc_of, word_of, np.array([[3, 2], [0, 1]]),
+            state = (z.copy(), offsets, word_of, np.array([[2, 1], [0, 1], [1, 1]]),
                      np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
                      prior.sum(axis=0))
             with pytest.raises(AssertionError):
@@ -327,8 +346,8 @@ class TestKernel:
         want = states.pop("open_sampler")
         # token 3 is out of the counts, the rest are counted where z puts them
         counted = np.arange(6) != 3
-        n_dt = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(n_dt, (doc_of[counted], want[0][counted]), 1)
+        n_dt = np.zeros((3, 2), dtype=np.int64)
+        np.add.at(n_dt, (token_docs(offsets)[counted], want[0][counted]), 1)
         np.testing.assert_array_equal(want[3], n_dt)
         np.testing.assert_array_equal(want[5], n_dt.sum(axis=0))
         np.testing.assert_array_equal(want[0][3:], z[3:])
@@ -343,7 +362,8 @@ class TestKernel:
         # topic 0 only while token 0, the other token of its word, is there
         # too. The draws keep token 0 in topic 0 for two sweeps and move it
         # to topic 1 on the third, where token 6's total is zero.
-        doc_of = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int32)
+        offsets = np.array([0, 5, 7], dtype=np.int64)
+        doc_of = token_docs(offsets)
         word_of = np.array([1, 2, 2, 3, 3, 0, 1], dtype=np.int32)
         z = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.int32)
         prior = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
@@ -355,7 +375,7 @@ class TestKernel:
             n_dt, n_tw = np.zeros((2, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)
             np.add.at(n_dt, (doc_of, z), 1)
             np.add.at(n_tw, (word_of, z), 1)
-            state = (z.copy(), doc_of, word_of, n_dt, n_tw, n_dt.sum(axis=0),
+            state = (z.copy(), offsets, word_of, n_dt, n_tw, n_dt.sum(axis=0),
                      prior, prior.sum(axis=0))
             done = []
             with pytest.raises(AssertionError), factory(*state, 0.0) as sampler:
@@ -400,8 +420,11 @@ class TestKernel:
         fortran_n_dt = np.asfortranarray(state[3])
         read_only_n_t = state[5].copy()
         read_only_n_t.flags.writeable = False
-        bad_doc = state[1].copy()
-        bad_doc[-1] = state[3].shape[0]
+        # offsets that would walk tokens outside [0, N) or twice
+        first_not_zero, last_not_n, decrease = (state[1].copy() for _ in range(3))
+        first_not_zero[0] = -1
+        last_not_n[-1] += 1
+        decrease[2] = decrease[3] + 1
         negative_topic = state[0].copy()
         negative_topic[0] = -1
         at_open = [
@@ -409,13 +432,16 @@ class TestKernel:
             (TypeError, swap(3, state[3].astype(np.int32))),
             (TypeError, swap(6, state[6].astype(np.float32))),
             (TypeError, swap(1, state[1].tolist())),
+            (TypeError, swap(1, state[1].astype(np.int32))),
             (ValueError, swap(3, fortran_n_dt)),
             (ValueError, swap(2, np.repeat(state[2], 2)[::2])),
             (ValueError, swap(5, read_only_n_t)),
             (ValueError, swap(1, state[1][:-1].copy())),
             (ValueError, swap(7, state[7][:-1].copy())),
             (ValueError, swap(7, np.zeros_like(state[7]))),
-            (IndexError, swap(1, bad_doc)),
+            (ValueError, swap(1, first_not_zero)),
+            (ValueError, swap(1, last_not_n)),
+            (ValueError, swap(1, decrease)),
             (IndexError, swap(0, negative_topic)),
         ]
         per_sweep = [
@@ -445,8 +471,8 @@ class TestKernel:
 
     def test_caller_writes_to_ids_do_not_reach_the_sweep(self):
         # once the sampler is open the ids it follows are its own: ids out
-        # of range written into the caller's z, doc_of and word_of before
-        # each sweep change no draw, and closing writes the sampler's z back
+        # of range written into the caller's z and word_of, and reversed
+        # huge offsets, before each sweep change no draw, and closing writes the sampler's z back
         # over the caller's
         rng = np.random.default_rng(19)
         state = self.setup_state(rng, d_count=30, v=50, n=400)
@@ -456,11 +482,11 @@ class TestKernel:
             replay_sweep(*replay, 0.01, u)
         for name, factory in _gibbs.backends().items():
             got = tuple(a.copy() for a in state)
-            z, doc_of, word_of = got[:3]
+            z, offsets, word_of = got[:3]
             with factory(*got, 0.01) as sampler:
                 for u in draws:
                     z[:] = -1
-                    doc_of[:] = np.iinfo(np.int32).max
+                    offsets[:] = state[1][::-1] + 2 ** 62
                     word_of[::2], word_of[1::2] = -7, state[4].shape[0]
                     run_sweep(sampler, u)
                 np.testing.assert_array_equal(z, -1, err_msg=name)
@@ -474,7 +500,7 @@ class TestKernel:
         # the factor tables it makes, and the caller's count tables and
         # priors, also when the caller keeps none of them. It holds the
         # caller's z too, which closing writes back, but not the caller's
-        # doc_of and word_of, which it copied
+        # offsets and word_of, which it copied
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -505,8 +531,9 @@ class TestKernel:
             np.testing.assert_array_equal(got, want)
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
-        # the factor tables, 8 bytes per count, and the copies of z, doc_of
-        # and word_of, 12 bytes per token, live while the sampler is open;
+        # the factor tables, 8 bytes per count, and the copies of z and
+        # word_of, 8 bytes per token, and of offsets, 8 bytes per document
+        # and one more, live while the sampler is open;
         # closing drops both, so a training's count check after the sweeps
         # does not hold them beside its own tables
         factory = _gibbs.backends().get("c")
@@ -516,7 +543,7 @@ class TestKernel:
         state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
         u = rng.random(len(state[0]))
         table_bytes = 8 * sum(a.size for a in state[3:6])
-        copy_bytes = 12 * len(u)
+        copy_bytes = 8 * len(u) + 8 * len(state[1])
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
