@@ -71,7 +71,7 @@ print("theta(doc000) =", np.array2string(theta, precision=3))
 labels = classify_all(model, np.random.default_rng(1))
 report = evaluate(labels, planted)
 
-print(f"\naccuracy {report.accuracy:.3f}, macro-F1 {report.macro_f1:.3f}")
+print(f"\naccuracy {report.accuracy:.3f}, macro-F1 {report.macro.f1:.3f}")
 print("confusion matrix (rows gold, columns predicted)")
 header = " ".join(f"{name:>10s}" for name in report.labels)
 print(f"{'':10s} {header}")

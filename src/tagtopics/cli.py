@@ -251,6 +251,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -274,11 +280,7 @@ def _cmd_words(cfg: RunConfig) -> None:
     lexicons = [
         lexstats.build_lexicon(docs, category=name) for name, docs in groups.items()
     ]
-    common = (
-        lexstats.common_words(lexicons, min_groups=cfg.min_groups, n=cfg.top_n)
-        if len(lexicons) >= 2
-        else []
-    )
+    common = lexstats.common_words(lexicons, min_groups=cfg.min_groups, n=cfg.top_n)
     common_set = [token for token, _, _ in common]
     rows = [
         ("(common)", rank, token, freq, group_count)
@@ -439,12 +441,19 @@ def _cmd_topics_classify(cfg: RunConfig) -> None:
 
 
 def _read_assignments(path) -> dict[str, str]:
+    """id -> category per row of a predictions file. A row with no id, a
+    repeated id or no category is skipped with a warning; the first row for
+    an id wins."""
     out: dict[str, str] = {}
     for lineno, row in iter_csv(path, ("id", "category"), logger):
-        if row["category"] is None:
+        if not row["id"]:
+            logger.warning(SKIPPED, path, lineno, "missing id")
+        elif row["id"] in out:
+            logger.warning(SKIPPED, path, lineno, f"duplicate id {row['id']!r}")
+        elif row["category"] is None:
             logger.warning(SKIPPED, path, lineno, "no category")
-            continue
-        out[row["id"]] = row["category"]
+        else:
+            out[row["id"]] = row["category"]
     return out
 
 
@@ -470,11 +479,9 @@ def _cmd_topics_eval(cfg: RunConfig) -> None:
         "gold_only": len(gold.keys() - predictions.keys()),
     }
     payload.update(report.to_dict())
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    _write_json(out / "report.json", payload)
     print(
-        f"topics-eval: accuracy {report.accuracy:.4f} macro-F1 {report.macro_f1:.4f} "
+        f"topics-eval: accuracy {report.accuracy:.4f} macro-F1 {report.macro.f1:.4f} "
         f"on {len(shared)} docs -> {out / 'report.json'}"
     )
 
@@ -508,9 +515,7 @@ def _cmd_report(cfg: RunConfig) -> None:
         }
     if not summary:
         raise DataError(f"no artifacts found in {out}")
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     print(f"report: {len(summary)} artifacts summarized -> {out / 'summary.json'}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
@@ -328,39 +328,18 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """The scores of report.json, in its layout and key order."""
+
     labels: tuple[str, ...]  # sorted union of gold and predicted labels
     matrix: tuple[tuple[int, ...], ...]  # rows gold, columns predicted
     accuracy: float
-    per_class: Mapping[str, ClassMetrics]
+    per_class: dict[str, ClassMetrics]
     gold_classes: tuple[str, ...]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
+    macro: ClassMetrics
+    micro: ClassMetrics
 
     def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "matrix": [list(row) for row in self.matrix],
-            "accuracy": self.accuracy,
-            "per_class": {
-                name: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-                for name, m in self.per_class.items()
-            },
-            "gold_classes": list(self.gold_classes),
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "micro": {
-                "precision": self.micro_precision,
-                "recall": self.micro_recall,
-                "f1": self.micro_f1,
-            },
-        }
+        return asdict(self)
 
 
 def _metrics(tp: int, predicted: int, actual: int) -> ClassMetrics:
@@ -402,24 +381,11 @@ def evaluate(
     per_class = {name: _metrics(*tally) for name, tally in tallies.items()}
 
     gold_classes = tuple(sorted(set(gold.values())))
-    macro_p = sum(per_class[c].precision for c in gold_classes) / len(gold_classes)
-    macro_r = sum(per_class[c].recall for c in gold_classes) / len(gold_classes)
-    macro_f = sum(per_class[c].f1 for c in gold_classes) / len(gold_classes)
+    gold_metrics = [astuple(per_class[c]) for c in gold_classes]
+    macro = ClassMetrics(*(sum(column) / len(gold_classes) for column in zip(*gold_metrics)))
     micro = _metrics(*map(sum, zip(*(tallies[c] for c in gold_classes))))
-
-    return EvaluationReport(
-        labels=labels,
-        matrix=tuple(tuple(row) for row in counts),
-        accuracy=accuracy,
-        per_class=per_class,
-        gold_classes=gold_classes,
-        macro_precision=macro_p,
-        macro_recall=macro_r,
-        macro_f1=macro_f,
-        micro_precision=micro.precision,
-        micro_recall=micro.recall,
-        micro_f1=micro.f1,
-    )
+    return EvaluationReport(labels, tuple(map(tuple, counts)), accuracy, per_class,
+                            gold_classes, macro, micro)
 
 
 def derive_gold(

@@ -243,7 +243,7 @@ def test_criterion_04_evaluation_metrics():
         )
         assert report.matrix == ((2, 0), (1, 1))
         assert report.accuracy == 0.75
-        assert abs(report.macro_precision - 5 / 6) <= 1e-12
+        assert abs(report.macro.precision - 5 / 6) <= 1e-12
 
         rng = np.random.default_rng(81)
         gold_pool = ["north", "south", "east"]
@@ -261,12 +261,12 @@ def test_criterion_04_evaluation_metrics():
                 assert m.precision == float(prec)
                 assert m.recall == float(rec)
                 assert abs(m.f1 - float(f1)) <= 1e-12
-            assert abs(report.macro_precision - float(macro[0])) <= 1e-12
-            assert abs(report.macro_recall - float(macro[1])) <= 1e-12
-            assert abs(report.macro_f1 - float(macro[2])) <= 1e-12
-            assert report.micro_precision == float(micro[0])
-            assert report.micro_recall == float(micro[1])
-            assert abs(report.micro_f1 - float(micro[2])) <= 1e-12
+            assert abs(report.macro.precision - float(macro[0])) <= 1e-12
+            assert abs(report.macro.recall - float(macro[1])) <= 1e-12
+            assert abs(report.macro.f1 - float(macro[2])) <= 1e-12
+            assert report.micro.precision == float(micro[0])
+            assert report.micro.recall == float(micro[1])
+            assert abs(report.micro.f1 - float(micro[2])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

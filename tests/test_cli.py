@@ -57,21 +57,30 @@ class TestTrends:
 
 class TestWords:
     def test_structure_and_ranks(self, tmp_path):
-        assert run("words", *BASE, "--out", str(tmp_path)) == 0
-        rows = read_csv(tmp_path / "words.csv")
-        assert rows[0] == ["category", "rank", "term", "count", "score"]
-        body = rows[1:]
-        assert body, "fixture corpus yields at least one word row"
-        common_terms = {r[2] for r in body if r[0] == "(common)"}
-        ranks: dict[str, list[int]] = {}
-        for category, rank, term, count, score in body:
-            assert category in {"(common)", "Music", "Sports", "Weather"}
-            ranks.setdefault(category, []).append(int(rank))
-            if category != "(common)":
-                assert count == score  # distinctive rows score by raw count
-                assert term not in common_terms
-        for category, seen in ranks.items():
-            assert seen == list(range(1, len(seen) + 1)), category
+        # the fixture taxonomy, then its Music category alone: a word is
+        # common to two categories at least, so one category has none
+        single = tmp_path / "music.json"
+        taxonomy = json.loads((DATA / "taxonomy.json").read_text(encoding="utf-8"))
+        single.write_text(json.dumps({"Music": taxonomy["Music"]}), encoding="utf-8")
+        for path, names in ((DATA / "taxonomy.json", set(taxonomy)), (single, {"Music"})):
+            out = tmp_path / path.stem
+            assert run("words", "--corpus", str(DATA / "corpus.jsonl"),
+                       "--taxonomy", str(path), "--out", str(out)) == 0
+            rows = read_csv(out / "words.csv")
+            assert rows[0] == ["category", "rank", "term", "count", "score"]
+            body = rows[1:]
+            assert body, "fixture corpus yields at least one word row"
+            common_terms = {r[2] for r in body if r[0] == "(common)"}
+            assert bool(common_terms) == (len(names) > 1), path
+            ranks: dict[str, list[int]] = {}
+            for category, rank, term, count, score in body:
+                assert category in {"(common)", *names}
+                ranks.setdefault(category, []).append(int(rank))
+                if category != "(common)":
+                    assert count == score  # distinctive rows score by raw count
+                    assert term not in common_terms
+            for category, seen in ranks.items():
+                assert seen == list(range(1, len(seen) + 1)), category
 
     def test_top_n_truncates(self, tmp_path):
         assert run("words", *BASE, "--top-n", "1", "--out", str(tmp_path)) == 0
@@ -315,6 +324,29 @@ class TestTopicsPipeline:
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert report["evaluated"] == 2
         assert report["accuracy"] == 0.5  # t02 right, t03 is Sports
+
+    def test_eval_skips_missing_and_duplicate_ids(self, tmp_path, caplog):
+        # a row with no id and a second row for t02 change nothing: the first
+        # row for an id wins, as in the corpus loader
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        for out, rows in ((clean, [["t02", "Music"], ["t03", "Music"]]),
+                          (dirty, [["t02", "Music"], ["", "Music"], ["t03", "Music"],
+                                   ["t02", "bogus"]])):
+            out.mkdir()
+            with open(out / "pred.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["id", "category"])
+                writer.writerows(rows)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tagtopics.cli"):
+                assert run("topics-eval", *BASE, "--predictions", str(out / "pred.csv"),
+                           "--out", str(out)) == 0
+        assert (dirty / "report.json").read_bytes() == (clean / "report.json").read_bytes()
+        path = dirty / "pred.csv"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:3 skipped: missing id",
+            f"{path}:5 skipped: duplicate id 't02'",
+        ]
 
     def test_gold_policy_flag(self, tmp_path):
         # t05 belongs to Music and Weather, t04 to Weather alone; the

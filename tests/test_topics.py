@@ -887,19 +887,19 @@ class TestEvaluate:
         assert abs(a.f1 - 0.8) <= 1e-12
         assert b.precision == 1.0 and b.recall == 0.5
         assert abs(b.f1 - 2 / 3) <= 1e-12
-        assert abs(report.macro_precision - 5 / 6) <= 1e-12
-        assert abs(report.macro_recall - 0.75) <= 1e-12
-        assert abs(report.macro_f1 - 11 / 15) <= 1e-12
-        assert report.micro_precision == 0.75
-        assert report.micro_recall == 0.75
-        assert abs(report.micro_f1 - 0.75) <= 1e-12
+        assert abs(report.macro.precision - 5 / 6) <= 1e-12
+        assert abs(report.macro.recall - 0.75) <= 1e-12
+        assert abs(report.macro.f1 - 11 / 15) <= 1e-12
+        assert report.micro.precision == 0.75
+        assert report.micro.recall == 0.75
+        assert abs(report.micro.f1 - 0.75) <= 1e-12
 
     def test_perfect_predictions(self):
         gold = {str(i): f"c{i % 3}" for i in range(9)}
         report = evaluate(dict(gold), gold)
         assert report.accuracy == 1.0
-        assert report.macro_f1 == 1.0
-        assert report.micro_f1 == 1.0
+        assert report.macro.f1 == 1.0
+        assert report.micro.f1 == 1.0
         assert all(m.f1 == 1.0 for m in report.per_class.values())
 
     def test_predicted_only_label_gets_column_not_vote(self):
@@ -911,8 +911,8 @@ class TestEvaluate:
         assert report.gold_classes == ("a",)
         assert report.accuracy == 0.5
         # macro covers the one gold class only
-        assert report.macro_precision == 1.0
-        assert report.macro_recall == 0.5
+        assert report.macro.precision == 1.0
+        assert report.macro.recall == 0.5
         un = report.per_class[UNASSIGNED]
         assert (un.precision, un.recall, un.f1) == (0.0, 0.0, 0.0)
 
@@ -926,9 +926,9 @@ class TestEvaluate:
                                "a", "b", "b", UNASSIGNED]))
         report = evaluate(pred, gold)
         assert report.matrix == ((3, 0, 1), (1, 2, 1), (0, 0, 0))
-        assert report.micro_precision == 5 / 6
-        assert report.micro_recall == 5 / 8
-        assert abs(report.micro_f1 - 5 / 7) <= 1e-12
+        assert report.micro.precision == 5 / 6
+        assert report.micro.recall == 5 / 8
+        assert abs(report.micro.f1 - 5 / 7) <= 1e-12
 
     def test_mismatched_keys_rejected(self):
         with pytest.raises(DataError):
@@ -962,6 +962,11 @@ class TestEvaluate:
     def test_to_dict_round_trips_through_json(self):
         report = evaluate({"1": "a"}, {"1": "b"})
         payload = json.loads(json.dumps(report.to_dict()))
+        # report.json's layout: the fields and their order are the file's keys
+        assert list(payload) == ["labels", "matrix", "accuracy", "per_class",
+                                 "gold_classes", "macro", "micro"]
+        for block in (*payload["per_class"].values(), payload["macro"], payload["micro"]):
+            assert list(block) == ["precision", "recall", "f1"]
         assert payload["labels"] == ["a", "b"]
         assert payload["macro"]["f1"] == 0.0
         assert payload["accuracy"] == 0.0
