@@ -14,28 +14,30 @@ each count table they keep its float64 factor (count + prior), the old
 topic's weight lowers its counts inline, and counts, factors and the
 assignment are written only when a token moves. The sweep walks the
 documents by their offsets, strictly in token order, so results are
-deterministic given the per-sweep uniform draws handed in by the caller.
+deterministic given the generator each sweep draws its uniforms from.
 
 A training opens one sampler over its state arrays with :func:`open_sampler`
-and calls :func:`run_sweep` once per sweep:
+and calls :func:`run_sweep` once per sweep with its generator:
 
     with open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
                       prior_total, alpha) as sampler:
-        for u in draws:
-            run_sweep(sampler, u)
+        for _ in range(sweeps):
+            run_sweep(sampler, rng)
 
 Each backend is one factory, :func:`_compiled_sampler` or
 :func:`_python_sampler`, returning the one sampler class, :class:`_Sampler`.
 :func:`backends` lists the factories that run here, the compiled one first,
 and is the only code that picks one; :func:`open_sampler` opens its first.
 
-The state is checked and converted once, when the sampler opens; a sweep
-checks only its draws. The arrays belong to the sampler until it closes,
-which writes the assignments back, also when a sweep raised. The
-pure-Python backend copies every array to lists. The C kernel copies z,
-offsets and word_of, so the indices it follows stay as checked whatever the
-caller writes, and updates the count tables, whose values are never
-indices, in place; it drops its copies and factor tables on close.
+The state is checked and converted once, when the sampler opens, against
+the token layout :func:`check_tokens` states for the model too. Until it
+closes, the sampler owns the arrays and its draws, one float64 per token
+refilled from the generator each sweep. The pure-Python backend copies
+every array to lists; the C kernel copies z, offsets and word_of, so the
+indices it follows stay as checked whatever the caller writes, and updates
+the count tables, whose values are never indices, in place. Closing, also
+when a sweep raised, drops the sweep with every table, copy and pointer it
+holds, and the draws, then writes each copy back.
 """
 
 from __future__ import annotations
@@ -62,21 +64,27 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _check_array(name: str, arr, dtype, ndim: int) -> None:
-    """Reject anything but a C-contiguous `ndim`-d numpy array of `dtype`:
-    TypeError for another type or dtype, ValueError for another layout."""
-    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-        got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
-        raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
-    if arr.ndim != ndim or not arr.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
+def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
+    """The token layout both the sampler and the model rely on: offsets, of
+    at least one entry, rise from 0 to N == len(word_of) == len(z) without
+    a decrease, word ids lie in [0, v) and topic ids in [0, k). Raises
+    ValueError if one does not hold."""
+    n = len(z)
+    if len(word_of) != n or offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
+        raise ValueError("offsets, word_of and z disagree in length: offsets must "
+                         f"rise from 0 to {n} tokens without a decrease")
+    # plain lists accept negative indices and bincount counts any id
+    # somewhere, so every id is checked up front
+    for name, ids, bound in (("word", word_of, v), ("topic", z, k)):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError(f"{name} id outside [0, {bound})")
 
 
 def _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
-    """Reject arrays the C kernel cannot read safely (wrong dtype, a layout
-    other than C-contiguous, a read-only count table, disagreeing shapes,
-    offsets not rising from 0 to N, an id out of range) and prior totals on
-    which the two backends would not agree."""
+    """Reject arrays the C kernel cannot read safely: TypeError for another
+    type or dtype, ValueError for a layout other than C-contiguous, a
+    read-only count table, disagreeing shapes, a token layout :func:`check_tokens`
+    rejects, or prior totals on which the two backends would not agree."""
     typed = (
         ("z", z, np.int32, 1), ("offsets", offsets, np.int64, 1),
         ("word_of", word_of, np.int32, 1), ("n_dt", n_dt, np.int64, 2),
@@ -85,28 +93,27 @@ def _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
         ("prior_total", prior_total, np.float64, 1),
     )
     for name, arr, dtype, ndim in typed:
-        _check_array(name, arr, dtype, ndim)
+        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+            got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
+        if arr.ndim != ndim or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
     for name, arr in (("z", z), ("n_dt", n_dt), ("n_tw", n_tw), ("n_t", n_t)):
         if not arr.flags.writeable:
             raise ValueError(f"{name} must be writeable")
-    n, k, v = z.shape[0], n_t.shape[0], n_tw.shape[0]
+    k, v = n_t.shape[0], n_tw.shape[0]
     expected = (
-        ("offsets", offsets, (n_dt.shape[0] + 1,)), ("word_of", word_of, (n,)),
-        ("prior_total", prior_total, (k,)), ("n_dt", n_dt, (n_dt.shape[0], k)),
-        ("n_tw", n_tw, (v, k)), ("word_prior", word_prior, (v, k)),
+        ("offsets", offsets, (n_dt.shape[0] + 1,)), ("prior_total", prior_total, (k,)),
+        ("n_dt", n_dt, (n_dt.shape[0], k)), ("n_tw", n_tw, (v, k)),
+        ("word_prior", word_prior, (v, k)),
     )
     for name, arr, shape in expected:
         if arr.shape != shape:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    if offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
-        raise ValueError(f"offsets must run from 0 to {n} without a decrease")
+    check_tokens(offsets, word_of, z, v, k)
     # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
     if not (prior_total > 0.0).all():
         raise ValueError("prior_total must be positive")
-    # plain lists accept negative indices, so check every id up front
-    for ids, bound in ((word_of, v), (z, k)):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise IndexError("word or topic id out of range")
 
 
 def _sweep_source(k: int) -> str:
@@ -196,16 +203,18 @@ def _unrolled_sweep(k: int) -> Callable[..., None]:
 
 
 class _Sampler:
-    """The one sampler class: a training's token count, its sweep over the
-    draws and what closing does, from a backend's factory. A context manager
-    whose exit runs `close` once and leaves the arrays holding the state."""
+    """The one sampler class: a backend's sweep, the draws it reads, one
+    float64 per token, allocated here and refilled by :func:`run_sweep`, and
+    (caller's array, sampler's copy) pairs. A context manager whose exit is
+    the only close: it drops the sweep, with every table, copy and pointer
+    it holds, and the draws, then writes each copy back over its array."""
 
-    def __init__(self, tokens: int, sweep: Callable[[np.ndarray], None],
-                 close: Callable[[], None] = lambda: None):
-        self._tokens = tokens
+    def __init__(self, sweep: Callable[[np.ndarray], None], tokens: int,
+                 copies: list[tuple[np.ndarray, object]]):
         self._sweep = sweep
-        self._close = close
-        self._closed = False
+        self._draws = np.empty(tokens)
+        self._tokens = tokens
+        self._copies = copies
 
     def __len__(self) -> int:
         return self._tokens
@@ -214,9 +223,11 @@ class _Sampler:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if not self._closed:
-            self._closed = True
-            self._close()
+        # the tables go before the write-back builds its temporary arrays
+        self._sweep = self._draws = None
+        for array, copy in self._copies:
+            array[:] = copy
+        self._copies = []
 
 
 def _factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha):
@@ -236,8 +247,8 @@ def _python_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
                     prior_total, alpha) -> _Sampler:
     """A sampler on the pure-Python backend. It copies the arrays and the
     factor tables of :func:`_factor_tables` to plain lists, where element
-    access is far cheaper than on numpy scalars, and writes the arrays back
-    when it closes, also after a sweep raised.
+    access is far cheaper than on numpy scalars; the lists of z and the
+    count tables are the copies the sampler writes back when it closes.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -246,27 +257,18 @@ def _python_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
     order, without them. The source is built from K alone, never from input
     data."""
     _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
-    arrays = (z, n_dt, n_tw, n_t)
-    lists = [a.tolist() for a in arrays]
-    zs, dt, tw, tot = lists
+    copies = [(a, a.tolist()) for a in (z, n_dt, n_tw, n_t)]
+    zs, dt, tw, tot = (values for _, values in copies)
     # no tokens: nothing to sample, and k may be 0, with no sweep source
     fn = _unrolled_sweep(len(tot)) if zs else lambda *args: None
     alpha = float(alpha)
     # the sweep's arguments before and after the draws
-    head = [zs, offsets.tolist(), word_of.tolist()]
-    tail = [dt, tw, tot, *(f.tolist() for f in _factor_tables(
+    head = (zs, offsets.tolist(), word_of.tolist())
+    tail = (dt, tw, tot, *(f.tolist() for f in _factor_tables(
         n_dt, n_tw, n_t, word_prior, prior_total, alpha)),
-        word_prior.tolist(), prior_total.tolist(), alpha]
-
-    def close() -> None:
-        # free the read-only and factor lists before the write-back builds
-        # its temporary arrays
-        del head[:], tail[:]
-        for array, values in zip(arrays, lists):
-            array[:] = values
-
+        word_prior.tolist(), prior_total.tolist(), alpha)
     # the draws' list is a call argument, freed when the sweep returns
-    return _Sampler(len(zs), lambda u: fn(*head, u.tolist(), *tail), close)
+    return _Sampler(lambda u: fn(*head, u.tolist(), *tail), len(zs), copies)
 
 
 def _compiled_sampler(fn, z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
@@ -277,17 +279,16 @@ def _compiled_sampler(fn, z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
     array pointer; a sweep passes only the draws. Only the sampler holds the
     copies and only the kernel writes them, with topics in [0, k), so the
     indices the kernel follows stay in range without a check per sweep. The
-    count tables are shared and updated in place. Closing, also after a
-    sweep raised, writes the copied z back and drops the copies and the
-    tables, before the caller builds its own after the sweeps."""
+    count tables are shared and updated in place; the copy of z is the one
+    the sampler writes back when it closes."""
     _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
     k = n_t.shape[0]
-    ids = [a.copy() for a in (z, offsets, word_of)]
+    topics = z.copy()
     # data_as pointers keep their arrays alive, so the sweep holds every
     # array whose pointer it passes, the copies and tables it made among them
     head = [n_dt.shape[0], k, *(
         a.ctypes.data_as(ctypes.c_void_p) for a in (
-            *ids, n_dt, n_tw, n_t,
+            topics, offsets.copy(), word_of.copy(), n_dt, n_tw, n_t,
             *_factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha),
             word_prior, prior_total, np.empty(k, dtype=np.float64))),
         float(alpha)]
@@ -296,11 +297,7 @@ def _compiled_sampler(fn, z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
         if fn(*head, u.ctypes.data) == 1:
             raise AssertionError("degenerate sampling weight normalizer")
 
-    def close() -> None:
-        z[:] = ids[0]
-        del ids[:], head[:]
-
-    return _Sampler(z.shape[0], sweep, close)
+    return _Sampler(sweep, z.shape[0], [(z, topics)])
 
 
 def _library_path() -> Path:
@@ -377,33 +374,31 @@ def open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
                  alpha) -> _Sampler:
     """A sampler over one training's state on the first of :func:`backends`:
     the C kernel, or the pure-Python one when it could not be built. Use it
-    as a context manager, whose exit, normal or by an exception, leaves the
-    arrays holding the sampler's state; until then the arrays belong to the
-    sampler. ``len(sampler)`` is the token count.
+    as a context manager; its exit, normal or by an exception, is the only
+    close and leaves the arrays, which belong to the sampler until then,
+    holding its state. ``len(sampler)`` is the token count.
 
     Document d is tokens offsets[d] up to offsets[d + 1] of z and word_of,
     walked by the sampler's own copy of offsets. z and word_of are int32,
     offsets and the count tables int64, the priors float64, all C-contiguous;
-    anything else, or offsets not rising from 0 to N, raises TypeError or
-    ValueError, and an id out of range IndexError, before a count changes."""
+    anything else raises TypeError or ValueError, and so does a token layout
+    :func:`check_tokens` rejects, before a count changes."""
     return next(iter(backends().values()))(
         z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha)
 
 
-def run_sweep(sampler: _Sampler, u: np.ndarray) -> None:
-    """One full sweep: for each token position i, in order, and its document
-    d, remove the token from the counts, weight every topic by
+def run_sweep(sampler: _Sampler, rng: np.random.Generator) -> None:
+    """One full sweep: refill the sampler's draws with one uniform per
+    token from rng (``rng.random(out=draws)``), then for each token position
+    i, in order, and its document d, remove the token from the counts,
+    weight every topic by
 
         (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
 
-    and reassign by inverse transform on u[i].
-
-    u holds one float64 draw per token, C-contiguous; anything else raises
-    TypeError or ValueError before a count changes, as does a closed
-    sampler. A weight total that is not positive raises AssertionError."""
-    if sampler._closed:
+    and reassign by inverse transform on draw i. A closed sampler raises
+    ValueError before rng is drawn from; a weight total that is not
+    positive raises AssertionError."""
+    if sampler._sweep is None:
         raise ValueError("sweep on a closed sampler")
-    _check_array("u", u, np.float64, 1)
-    if u.shape != (len(sampler),):
-        raise ValueError(f"u must hold {len(sampler)} draws, got shape {u.shape}")
-    sampler._sweep(u)
+    rng.random(out=sampler._draws)
+    sampler._sweep(sampler._draws)

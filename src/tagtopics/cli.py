@@ -351,10 +351,7 @@ def _grouped_trees(cfg: RunConfig):
     _require(cfg, "parses")
     tweets, taxonomy = _load_corpus_and_taxonomy(cfg)
     trees = syntax_mod.load_parses(cfg.parses)
-    groups = _by_category(trees, corpus_mod.category_membership(tweets, taxonomy), taxonomy)
-    for group in groups.values():
-        group.sort(key=lambda t: t.tweet_id)
-    return groups
+    return _by_category(trees, corpus_mod.category_membership(tweets, taxonomy), taxonomy)
 
 
 def _cmd_verbs(cfg: RunConfig) -> None:
@@ -442,15 +439,15 @@ def _cmd_topics_classify(cfg: RunConfig) -> None:
 
 def _read_assignments(path) -> dict[str, str]:
     """id -> category per row of a predictions file. A row with no id, a
-    repeated id or no category is skipped with a warning; the first row for
-    an id wins."""
+    repeated id or an absent or empty category is skipped with a warning;
+    the first row for an id wins."""
     out: dict[str, str] = {}
     for lineno, row in iter_csv(path, ("id", "category"), logger):
         if not row["id"]:
             logger.warning(SKIPPED, path, lineno, "missing id")
         elif row["id"] in out:
             logger.warning(SKIPPED, path, lineno, f"duplicate id {row['id']!r}")
-        elif row["category"] is None:
+        elif not row["category"]:
             logger.warning(SKIPPED, path, lineno, "no category")
         else:
             out[row["id"]] = row["category"]

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gibbs import open_sampler, run_sweep
+from ._gibbs import check_tokens, open_sampler, run_sweep
 from .corpus import category_order
 from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
@@ -143,17 +143,15 @@ class SeededLdaModel:
     def _count_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, counted from
         word_of, z and offsets: the only code that builds count tables.
-        Raises ValueError if there are no documents, the offsets are not D + 1
-        non-decreasing entries from 0 to len(word_of) == len(z), or an id is
-        outside [0, V) or [0, K), where bincount would count it elsewhere."""
+        Raises ValueError if there are no documents, the offsets are not
+        D + 1 entries, or :func:`check_tokens` rejects the token layout, as
+        for an id outside [0, V) or [0, K), which bincount would count
+        elsewhere."""
         offsets, words, topics = self.offsets, self.word_of, self.z
         d, v, k = len(self.doc_ids), self.vocab_size, self.num_topics
-        if (not d or offsets.shape != (d + 1,) or offsets[0] != 0 or (np.diff(offsets) < 0).any()
-                or not offsets[-1] == len(words) == len(topics)):
-            raise ValueError("doc_ids, offsets, word_of and z disagree in length")
-        for name, ids, bound in (("word", words, v), ("topic", topics, k)):
-            if ids.size and (ids.min() < 0 or ids.max() >= bound):
-                raise ValueError(f"{name} id outside [0, {bound})")
+        if not d or offsets.shape != (d + 1,):
+            raise ValueError("doc_ids and offsets disagree in length")
+        check_tokens(offsets, words, topics, v, k)
         docs = np.repeat(np.arange(d, dtype=np.int64), np.diff(offsets))
         n_dt = np.bincount(docs * k + topics, minlength=d * k).reshape(d, k)
         n_tw = np.bincount(words.astype(np.int64) * k + topics, minlength=v * k)
@@ -270,12 +268,10 @@ def train(
 
     if iterations > 0:
         word_prior, prior_total = model.word_prior()
-        u = np.empty(len(z))  # each sweep's uniforms, drawn in place
         with open_sampler(z, model.offsets, word_of, model.n_dt, model.n_tw,
                           model.n_t, word_prior, prior_total, alpha) as sampler:
             for _ in range(iterations):
-                rng.random(out=u)
-                run_sweep(sampler, u)
+                run_sweep(sampler, rng)
 
     model.check_counts()
     return model

@@ -237,6 +237,25 @@ class TestPairs:
         assert ["Music", "buy", "paper", "1"] in rows
 
 
+class TestTreeOrder:
+    @pytest.mark.parametrize("flags", [[], ["--rel-scheme", "ud", "--subtree"]])
+    def test_reversed_parse_blocks_write_the_same_bytes(self, tmp_path, flags):
+        # verbs.csv and pairs.csv rank counts on total keys, so the order
+        # the trees are read in reaches no byte of either
+        blocks = (DATA / "parses.conllu").read_text(encoding="utf-8").strip().split("\n\n")
+        reversed_parses = tmp_path / "reversed.conllu"
+        reversed_parses.write_text("\n\n".join(blocks[::-1]) + "\n", encoding="utf-8")
+        written = {}
+        for name, parses in (("file", DATA / "parses.conllu"), ("reversed", reversed_parses)):
+            out = tmp_path / name
+            assert run("verbs", *BASE, "--parses", str(parses), "--out", str(out)) == 0
+            assert run("pairs", *BASE, "--parses", str(parses), *flags,
+                       "--out", str(out)) == 0
+            written[name] = [(out / f).read_bytes() for f in ("verbs.csv", "pairs.csv")]
+        assert len(blocks) == 10
+        assert written["reversed"] == written["file"]
+
+
 class TestTopicsPipeline:
     def test_train_classify_eval_report(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -347,6 +366,24 @@ class TestTopicsPipeline:
             f"{path}:3 skipped: missing id",
             f"{path}:5 skipped: duplicate id 't02'",
         ]
+
+    def test_eval_skips_an_empty_category(self, tmp_path, caplog):
+        # an empty category cell is skipped as an absent one is, so no
+        # empty label reaches the report
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        for out, rows in ((clean, [["t01", "Music"]]), (dirty, [["t01", "Music"], ["t03", ""]])):
+            out.mkdir()
+            with open(out / "pred.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["id", "category"])
+                writer.writerows(rows)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tagtopics.cli"):
+                assert run("topics-eval", *BASE, "--predictions", str(out / "pred.csv"),
+                           "--out", str(out)) == 0
+        assert (dirty / "report.json").read_bytes() == (clean / "report.json").read_bytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{dirty / 'pred.csv'}:3 skipped: no category"]
 
     def test_gold_policy_flag(self, tmp_path):
         # t05 belongs to Music and Weather, t04 to Weather alone; the

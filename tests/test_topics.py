@@ -166,11 +166,23 @@ def replay_sweep(z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha
         n_t[new_t] += 1
 
 
+class Draws:
+    """A generator stand-in: each random(out=) copies in the next of the
+    given draws, so a test chooses every uniform a sweep reads."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self, *, out):
+        out[:] = next(self._draws)
+
+
 def sweep_through(factory, state, alpha, draws):
     """Open one sampler over `state` and run one sweep per entry of draws."""
+    rng = Draws(draws)
     with factory(*state, alpha) as sampler:
-        for u in draws:
-            run_sweep(sampler, u)
+        for _ in draws:
+            run_sweep(sampler, rng)
 
 
 class TestKernel:
@@ -231,6 +243,26 @@ class TestKernel:
                 # z, n_dt, n_tw and n_t; the priors are read-only inputs
                 for got, want in zip(got_state[:6], replay[:6]):
                     np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("sweeps", [1, 4])
+    def test_sweeps_draw_one_uniform_per_token_from_the_generator(self, sweeps):
+        # run_sweep fills the draws with one rng.random(N) per sweep: k
+        # sweeps from a generator equal k replayed sweeps on a clone's
+        # random(N), and leave the two generators in the same state
+        rng = np.random.default_rng(31)
+        for name, factory in (("open_sampler", _gibbs.open_sampler),
+                              *_gibbs.backends().items()):
+            state = self.setup_state(rng, d_count=30, v=50, n=400)
+            got, replay = (tuple(a.copy() for a in state) for _ in range(2))
+            drawn, clone = np.random.default_rng(41), np.random.default_rng(41)
+            with factory(*got, 0.01) as sampler:
+                for _ in range(sweeps):
+                    run_sweep(sampler, drawn)
+            for _ in range(sweeps):
+                replay_sweep(*replay, 0.01, clone.random(len(state[0])))
+            for got_array, want in zip(got[:6], replay[:6]):
+                np.testing.assert_array_equal(got_array, want, err_msg=name)
+            assert drawn.bit_generator.state == clone.bit_generator.state, name
 
     def test_backends_agree_on_a_settled_chain(self):
         # 200 sweeps through one sampler per backend on planted topics: each
@@ -377,10 +409,10 @@ class TestKernel:
             np.add.at(n_tw, (word_of, z), 1)
             state = (z.copy(), offsets, word_of, n_dt, n_tw, n_dt.sum(axis=0),
                      prior, prior.sum(axis=0))
-            done = []
+            done, rng = [], Draws(draws)
             with pytest.raises(AssertionError), factory(*state, 0.0) as sampler:
                 for u in draws:
-                    run_sweep(sampler, u)
+                    run_sweep(sampler, rng)
                     done.append(u)
             assert len(done) == 2, name
             states[name] = state
@@ -409,10 +441,9 @@ class TestKernel:
             _gibbs._unrolled_sweep.cache_clear()
 
     def test_bad_arrays_rejected_before_counts_change(self):
-        # bad state when the sampler opens, bad draws on each sweep
+        # bad state when the sampler opens, and a sweep once it closed
         rng = np.random.default_rng(3)
         state = self.setup_state(rng)
-        u = rng.random(len(state[0]))
 
         def swap(index, value):
             return (*state[:index], value, *state[index + 1:])
@@ -442,13 +473,7 @@ class TestKernel:
             (ValueError, swap(1, first_not_zero)),
             (ValueError, swap(1, last_not_n)),
             (ValueError, swap(1, decrease)),
-            (IndexError, swap(0, negative_topic)),
-        ]
-        per_sweep = [
-            (TypeError, u.astype(np.float32)),
-            (TypeError, u.tolist()),
-            (ValueError, u[:-1]),
-            (ValueError, np.repeat(u, 2)[::2]),
+            (ValueError, swap(0, negative_topic)),
         ]
         for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
             for error, args in at_open:
@@ -457,17 +482,12 @@ class TestKernel:
                     factory(*args, 0.01)
                 for got, want in zip(args, before):
                     np.testing.assert_array_equal(got, want)
-            for error, draws in per_sweep:
-                args = tuple(a.copy() for a in state)
-                with factory(*args, 0.01) as sampler:
-                    with pytest.raises(error):
-                        run_sweep(sampler, draws)
-                for got, want in zip(args, state):
-                    np.testing.assert_array_equal(got, want)
             with factory(*state, 0.01) as sampler:
                 pass
+            drawn = rng.bit_generator.state
             with pytest.raises(ValueError, match="closed"):
-                run_sweep(sampler, u)
+                run_sweep(sampler, rng)
+            assert rng.bit_generator.state == drawn
 
     def test_caller_writes_to_ids_do_not_reach_the_sweep(self):
         # once the sampler is open the ids it follows are its own: ids out
@@ -483,12 +503,13 @@ class TestKernel:
         for name, factory in _gibbs.backends().items():
             got = tuple(a.copy() for a in state)
             z, offsets, word_of = got[:3]
+            rng = Draws(draws)
             with factory(*got, 0.01) as sampler:
-                for u in draws:
+                for _ in draws:
                     z[:] = -1
                     offsets[:] = state[1][::-1] + 2 ** 62
                     word_of[::2], word_of[1::2] = -7, state[4].shape[0]
-                    run_sweep(sampler, u)
+                    run_sweep(sampler, rng)
                 np.testing.assert_array_equal(z, -1, err_msg=name)
             # z, n_dt, n_tw and n_t as replayed on the original ids
             for index in (0, 3, 4, 5):
@@ -523,7 +544,7 @@ class TestKernel:
         garbage += [np.full(len(u), -(2 ** 30), dtype=np.int32) for _ in range(8)]
         del garbage
         with sampler:
-            run_sweep(sampler, u)
+            run_sweep(sampler, Draws([u]))
             arrays = [ref() for ref in refs]
         replay = tuple(a.copy() for a in state)
         replay_sweep(*replay, 0.01, u)
@@ -531,11 +552,11 @@ class TestKernel:
             np.testing.assert_array_equal(got, want)
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
-        # the factor tables, 8 bytes per count, and the copies of z and
-        # word_of, 8 bytes per token, and of offsets, 8 bytes per document
-        # and one more, live while the sampler is open;
-        # closing drops both, so a training's count check after the sweeps
-        # does not hold them beside its own tables
+        # the factor tables, 8 bytes per count, and the draws and the
+        # copies of z and word_of, 16 bytes per token, and of offsets, 8
+        # bytes per document and one more, live while the sampler is open;
+        # closing drops them all, so a training's count check after the
+        # sweeps does not hold them beside its own tables
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -543,12 +564,12 @@ class TestKernel:
         state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
         u = rng.random(len(state[0]))
         table_bytes = 8 * sum(a.size for a in state[3:6])
-        copy_bytes = 8 * len(u) + 8 * len(state[1])
+        copy_bytes = 16 * len(u) + 8 * len(state[1])
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             with factory(*state, 0.01) as sampler:
-                run_sweep(sampler, u)
+                run_sweep(sampler, Draws([u]))
                 opened, _ = tracemalloc.get_traced_memory()
             closed, _ = tracemalloc.get_traced_memory()
         finally:
