@@ -16,11 +16,10 @@ assignment are written only when a token moves. The sweep walks the
 documents by their offsets, strictly in token order, so results are
 deterministic given the generator each sweep draws its uniforms from.
 
-A training opens one sampler over its state arrays with :func:`open_sampler`
-and calls :func:`run_sweep` once per sweep with its generator:
+A training sweeps through one sampler over its :class:`SweepState`:
 
-    with open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
-                      prior_total, alpha) as sampler:
+    with open_sampler(SweepState(z, offsets, word_of, n_dt, n_tw, n_t,
+                                 word_prior, prior_total, alpha)) as sampler:
         for _ in range(sweeps):
             run_sweep(sampler, rng)
 
@@ -51,6 +50,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -62,6 +62,7 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 # no FMA contraction: a fused multiply-add rounds differently from the
 # pure-Python kernel and would break bit-identity between backends
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_OWN_ARRAYS = ("f_dt", "f_tw", "f_t", "weights", "u")  # the kernel's, after the state's
 
 
 def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
@@ -80,39 +81,56 @@ def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
             raise ValueError(f"{name} id outside [0, {bound})")
 
 
-def _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total):
-    """Reject arrays the C kernel cannot read safely: TypeError for another
-    type or dtype, ValueError for a layout other than C-contiguous, a
-    read-only count table, disagreeing shapes, a token layout :func:`check_tokens`
-    rejects, or prior totals on which the two backends would not agree."""
-    typed = (
-        ("z", z, np.int32, 1), ("offsets", offsets, np.int64, 1),
-        ("word_of", word_of, np.int32, 1), ("n_dt", n_dt, np.int64, 2),
-        ("n_tw", n_tw, np.int64, 2), ("n_t", n_t, np.int64, 1),
-        ("word_prior", word_prior, np.float64, 2),
-        ("prior_total", prior_total, np.float64, 1),
-    )
-    for name, arr, dtype, ndim in typed:
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+def _array(dtype, dims: tuple[str, ...], written: bool = False):
+    """A :class:`SweepState` array field: dtype, dimension names, whether the sampler writes it."""
+    return field(metadata={"dtype": np.dtype(dtype), "dims": dims, "written": written})
+
+
+@dataclass(frozen=True, eq=False)
+class SweepState:
+    """The inputs of one training's sweeps, in the C kernel's parameter
+    order after n_docs and k: N tokens in D documents, document d tokens
+    offsets[d] up to offsets[d + 1] of z and word_of, V words, K topics,
+    their counts, and the priors B and Bsum and the alpha of :func:`run_sweep`."""
+
+    z: np.ndarray = _array(np.int32, ("N",), written=True)
+    offsets: np.ndarray = _array(np.int64, ("D+1",))
+    word_of: np.ndarray = _array(np.int32, ("N",))
+    n_dt: np.ndarray = _array(np.int64, ("D", "K"), written=True)
+    n_tw: np.ndarray = _array(np.int64, ("V", "K"), written=True)
+    n_t: np.ndarray = _array(np.int64, ("K",), written=True)
+    word_prior: np.ndarray = _array(np.float64, ("V", "K"))
+    prior_total: np.ndarray = _array(np.float64, ("K",))
+    alpha: float
+
+    def items(self) -> list[tuple[Field, object]]:
+        """(field, value) per field, in order; astuple would deep-copy every array."""
+        return [(f, getattr(self, f.name)) for f in fields(self)]
+
+
+def _check_state(state: SweepState) -> None:
+    """Reject arrays the C kernel cannot read safely, as their fields declare
+    them: TypeError for another type or dtype, ValueError for other
+    dimensions, a layout other than C-contiguous, a read-only array the
+    sampler writes, a token layout :func:`check_tokens` rejects, or prior
+    totals on which the two backends would not agree."""
+    arrays = [(f.name, f.metadata, a) for f, a in state.items() if f.metadata]
+    for name, meta, arr in arrays:
+        if not isinstance(arr, np.ndarray) or arr.dtype != meta["dtype"]:
             got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
-            raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
-        if arr.ndim != ndim or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous {ndim}-d array")
-    for name, arr in (("z", z), ("n_dt", n_dt), ("n_tw", n_tw), ("n_t", n_t)):
-        if not arr.flags.writeable:
+            raise TypeError(f"{name} must be a {meta['dtype']} array, got {got}")
+        if arr.ndim != len(meta["dims"]) or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous {len(meta['dims'])}-d array")
+        if meta["written"] and not arr.flags.writeable:
             raise ValueError(f"{name} must be writeable")
-    k, v = n_t.shape[0], n_tw.shape[0]
-    expected = (
-        ("offsets", offsets, (n_dt.shape[0] + 1,)), ("prior_total", prior_total, (k,)),
-        ("n_dt", n_dt, (n_dt.shape[0], k)), ("n_tw", n_tw, (v, k)),
-        ("word_prior", word_prior, (v, k)),
-    )
-    for name, arr, shape in expected:
-        if arr.shape != shape:
+    k, v, d = len(state.n_t), len(state.n_tw), len(state.n_dt)
+    size = {"N": len(state.z), "D": d, "D+1": d + 1, "V": v, "K": k}
+    for name, meta, arr in arrays:
+        if arr.shape != (shape := tuple(size[dim] for dim in meta["dims"])):
             raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    check_tokens(offsets, word_of, z, v, k)
+    check_tokens(state.offsets, state.word_of, state.z, v, k)
     # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
-    if not (prior_total > 0.0).all():
+    if not (state.prior_total > 0.0).all():
         raise ValueError("prior_total must be positive")
 
 
@@ -181,8 +199,8 @@ def _sweep_source(k: int) -> str:
         f"    {names('s')} = tot_f",
     ]
     return "\n".join([
-        "def sweep(zs, offsets, words, draws, dt, tw, tot, dt_f, tw_f, tot_f,",
-        "          prior, prior_sum, alpha):",
+        "def sweep(zs, offsets, words, dt, tw, tot, prior, prior_sum, alpha,",
+        "          dt_f, tw_f, tot_f, draws):",
         f"    {names('p')} = prior_sum",
         f"    {names('s')} = tot_f",
         "    words, draws = iter(words), iter(draws)",
@@ -230,7 +248,7 @@ class _Sampler:
         self._copies = []
 
 
-def _factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha):
+def _factor_tables(state: SweepState):
     """The float64 factor each count enters the weights with: n_dt + alpha,
     n_tw + word_prior and n_t + prior_total. Both backends start from these
     tables and recompute an entry from its count whenever that count
@@ -238,17 +256,17 @@ def _factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha):
     :func:`run_sweep` gives; int + float in numpy is the same double as in
     Python and in C. Yielded one at a time, so a caller that converts each
     table frees it before the next is built."""
-    yield n_dt + float(alpha)
-    yield n_tw + word_prior
-    yield n_t + prior_total
+    yield state.n_dt + float(state.alpha)
+    yield state.n_tw + state.word_prior
+    yield state.n_t + state.prior_total
 
 
-def _python_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
-                    prior_total, alpha) -> _Sampler:
-    """A sampler on the pure-Python backend. It copies the arrays and the
-    factor tables of :func:`_factor_tables` to plain lists, where element
-    access is far cheaper than on numpy scalars; the lists of z and the
-    count tables are the copies the sampler writes back when it closes.
+def _python_sampler(state: SweepState) -> _Sampler:
+    """A sampler on the pure-Python backend, once :func:`_check_state`
+    accepts `state`. It copies each field, alpha as a float, and the factor
+    tables of :func:`_factor_tables` to plain lists, where element access is
+    far cheaper than on numpy scalars; the lists of the fields the sampler
+    writes are the copies it writes back when it closes.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -256,48 +274,42 @@ def _python_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
     straight-line code on locals does the same arithmetic, in the same
     order, without them. The source is built from K alone, never from input
     data."""
-    _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
-    copies = [(a, a.tolist()) for a in (z, n_dt, n_tw, n_t)]
-    zs, dt, tw, tot = (values for _, values in copies)
+    _check_state(state)
+    items = state.items()
+    values = [v.tolist() if f.metadata else float(v) for f, v in items]
+    copies = [(v, copy) for (f, v), copy in zip(items, values) if f.metadata.get("written")]
+    tables = [f.tolist() for f in _factor_tables(state)]
     # no tokens: nothing to sample, and k may be 0, with no sweep source
-    fn = _unrolled_sweep(len(tot)) if zs else lambda *args: None
-    alpha = float(alpha)
-    # the sweep's arguments before and after the draws
-    head = (zs, offsets.tolist(), word_of.tolist())
-    tail = (dt, tw, tot, *(f.tolist() for f in _factor_tables(
-        n_dt, n_tw, n_t, word_prior, prior_total, alpha)),
-        word_prior.tolist(), prior_total.tolist(), alpha)
+    fn = _unrolled_sweep(len(state.n_t)) if len(state.z) else lambda *args: None
     # the draws' list is a call argument, freed when the sweep returns
-    return _Sampler(lambda u: fn(*head, u.tolist(), *tail), len(zs), copies)
+    return _Sampler(lambda u: fn(*values, *tables, u.tolist()), len(state.z), copies)
 
 
-def _compiled_sampler(fn, z, offsets, word_of, n_dt, n_tw, n_t, word_prior,
-                      prior_total, alpha) -> _Sampler:
-    """A sampler on the compiled kernel `fn`. It copies z, offsets and
-    word_of once they are checked, makes the factor tables of
-    :func:`_factor_tables` and the kernel's weights buffer, and takes every
-    array pointer; a sweep passes only the draws. Only the sampler holds the
-    copies and only the kernel writes them, with topics in [0, k), so the
-    indices the kernel follows stay in range without a check per sweep. The
-    count tables are shared and updated in place; the copy of z is the one
-    the sampler writes back when it closes."""
-    _check_state(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total)
-    k = n_t.shape[0]
-    topics = z.copy()
+def _compiled_sampler(fn, state: SweepState) -> _Sampler:
+    """A sampler on the compiled kernel `fn`, once :func:`_check_state`
+    accepts `state`. It copies z, offsets and word_of, makes the factor
+    tables of :func:`_factor_tables` and the kernel's weights buffer, and
+    takes every array pointer; a sweep passes only the draws. Only the
+    sampler holds the copies and only the kernel writes them, with topics in
+    [0, k), so the indices the kernel follows stay in range without a check
+    per sweep. The count tables are shared and updated in place; the copy of
+    z is the one the sampler writes back when it closes."""
+    _check_state(state)
+    k = state.n_t.shape[0]
+    own = replace(state, z=state.z.copy(), offsets=state.offsets.copy(),
+                  word_of=state.word_of.copy())
     # data_as pointers keep their arrays alive, so the sweep holds every
     # array whose pointer it passes, the copies and tables it made among them
-    head = [n_dt.shape[0], k, *(
-        a.ctypes.data_as(ctypes.c_void_p) for a in (
-            topics, offsets.copy(), word_of.copy(), n_dt, n_tw, n_t,
-            *_factor_tables(n_dt, n_tw, n_t, word_prior, prior_total, alpha),
-            word_prior, prior_total, np.empty(k, dtype=np.float64))),
-        float(alpha)]
+    head = [state.n_dt.shape[0], k, *(
+        a.ctypes.data_as(ctypes.c_void_p) if f.metadata else float(a) for f, a in own.items()),
+        *(a.ctypes.data_as(ctypes.c_void_p) for a in (
+            *_factor_tables(state), np.empty(k, dtype=np.float64)))]
 
     def sweep(u: np.ndarray) -> None:
         if fn(*head, u.ctypes.data) == 1:
             raise AssertionError("degenerate sampling weight normalizer")
 
-    return _Sampler(sweep, z.shape[0], [(z, topics)])
+    return _Sampler(sweep, state.z.shape[0], [(state.z, own.z)])
 
 
 def _library_path() -> Path:
@@ -350,9 +362,10 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        # n_docs and k, twelve array pointers, alpha and u, as in _gibbs.c
-        fn.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 12
-                       + [ctypes.c_double, ctypes.c_void_p])
+        # n_docs and k, the state's fields, then the sampler's own arrays
+        fn.argtypes = ([ctypes.c_int64] * 2 + [
+            ctypes.c_void_p if f.metadata else ctypes.c_double for f in fields(SweepState)]
+            + [ctypes.c_void_p] * len(_OWN_ARRAYS))
         fn.restype = ctypes.c_int
         logger.info("Gibbs sweep backend: c (%s)", path)
         return functools.partial(_compiled_sampler, fn)
@@ -364,27 +377,26 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
 
 def backends() -> dict[str, Callable[..., _Sampler]]:
     """Every sampler backend that runs here, by name, the one
-    :func:`open_sampler` uses first; each takes :func:`open_sampler`'s
-    arguments. The only code that picks a backend."""
+    :func:`open_sampler` uses first; each takes a :class:`SweepState`. The
+    only code that picks a backend."""
     compiled = _compiled_kernel()
     return ({} if compiled is None else {"c": compiled}) | {"python": _python_sampler}
 
 
-def open_sampler(z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total,
-                 alpha) -> _Sampler:
+def open_sampler(state: SweepState) -> _Sampler:
     """A sampler over one training's state on the first of :func:`backends`:
     the C kernel, or the pure-Python one when it could not be built. Use it
     as a context manager; its exit, normal or by an exception, is the only
     close and leaves the arrays, which belong to the sampler until then,
     holding its state. ``len(sampler)`` is the token count.
 
-    Document d is tokens offsets[d] up to offsets[d + 1] of z and word_of,
-    walked by the sampler's own copy of offsets. z and word_of are int32,
-    offsets and the count tables int64, the priors float64, all C-contiguous;
-    anything else raises TypeError or ValueError, and so does a token layout
-    :func:`check_tokens` rejects, before a count changes."""
-    return next(iter(backends().values()))(
-        z, offsets, word_of, n_dt, n_tw, n_t, word_prior, prior_total, alpha)
+    The arrays must be C-contiguous, of the dtypes and dimensions their
+    fields declare, and writeable if the sampler writes them; anything else
+    raises TypeError or ValueError, and so does a token layout
+    :func:`check_tokens` rejects, before a count changes. They are checked
+    here, not when the record is built, as the caller may write them in
+    between and the C kernel follows the ids it copies here."""
+    return next(iter(backends().values()))(state)
 
 
 def run_sweep(sampler: _Sampler, rng: np.random.Generator) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gibbs import check_tokens, open_sampler, run_sweep
+from ._gibbs import SweepState, check_tokens, open_sampler, run_sweep
 from .corpus import category_order
 from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
@@ -33,6 +33,7 @@ DEFAULT_BETA = 0.0001
 DEFAULT_MU = 0.5
 DEFAULT_ITERATIONS = 2000
 DEFAULT_UNSEEDED = 2
+MAX_TOPICS = 1000  # far above any taxonomy; checked before a V x K table is built
 
 _FORMAT = "tagtopics-lda"
 _FORMAT_VERSION = 2  # version 1 also stored n_dt, n_tw and n_t
@@ -57,8 +58,8 @@ class SeedSpec:
                 raise ValueError(f"seed set for {name!r} is empty")
         if self.unseeded < 0:
             raise ValueError("unseeded topic count must be non-negative")
-        if not self.seeded and self.unseeded == 0:
-            raise ValueError("need at least one topic")
+        if not 0 < len(self.seeded) + self.unseeded <= MAX_TOPICS:
+            raise ValueError(f"need 1 to {MAX_TOPICS} topics")
 
     @classmethod
     def from_mapping(
@@ -72,7 +73,10 @@ class SeedSpec:
 
     @classmethod
     def from_json_file(cls, path, unseeded: int = DEFAULT_UNSEEDED) -> "SeedSpec":
-        return cls.from_mapping(read_string_lists(path, "seed"), unseeded=unseeded)
+        try:
+            return cls.from_mapping(read_string_lists(path, "seed"), unseeded=unseeded)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -107,8 +111,10 @@ class SeededLdaModel:
             raise ValueError("alpha and beta must be positive and finite")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be non-negative and finite")
-        if self.iterations < 0 or self.num_unseeded < 0:
-            raise ValueError("iterations and num_unseeded must be non-negative")
+        if min(self.iterations, self.num_unseeded, self.rng_seed) < 0:
+            raise ValueError("iterations, num_unseeded and rng_seed must be non-negative")
+        if self.num_topics > MAX_TOPICS:
+            raise ValueError(f"num_unseeded gives {self.num_topics} topics, over {MAX_TOPICS}")
         for name in ("vocabulary", "doc_ids", "categories"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} holds a duplicate")
@@ -165,9 +171,10 @@ class SeededLdaModel:
             if not np.array_equal(getattr(self, name), table):
                 raise AssertionError(f"{name} disagrees with the assignments")
 
-    def word_prior(self) -> tuple[np.ndarray, np.ndarray]:
-        """B and Bsum: B[w, t] = beta + mu if w seeds topic t else beta;
-        Bsum[t] = V * beta + mu * |in-vocabulary seeds of t|."""
+    def sweep_state(self) -> SweepState:
+        """The sampler's inputs over this model's arrays, with alpha and the
+        priors: B[w, t] = beta + mu if w seeds topic t else beta; Bsum[t] =
+        V * beta + mu * |in-vocabulary seeds of t|."""
         v, k = self.vocab_size, self.num_topics
         prior = np.full((v, k), self.beta, dtype=np.float64)
         total = np.full(k, v * self.beta, dtype=np.float64)
@@ -175,7 +182,8 @@ class SeededLdaModel:
             for w in ids:
                 prior[w, t] += self.mu
             total[t] += self.mu * len(ids)
-        return prior, total
+        return SweepState(self.z, self.offsets, self.word_of, self.n_dt, self.n_tw,
+                          self.n_t, prior, total, self.alpha)
 
 
 def topic_weights(
@@ -267,9 +275,7 @@ def train(
     )
 
     if iterations > 0:
-        word_prior, prior_total = model.word_prior()
-        with open_sampler(z, model.offsets, word_of, model.n_dt, model.n_tw,
-                          model.n_t, word_prior, prior_total, alpha) as sampler:
+        with open_sampler(model.sweep_state()) as sampler:
             for _ in range(iterations):
                 run_sweep(sampler, rng)
 
@@ -285,34 +291,19 @@ def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
     return (row + model.alpha) / (row.sum() + model.num_topics * model.alpha)
 
 
-def _dominant_labels(model: SeededLdaModel, n_dt: np.ndarray,
-                     rng: np.random.Generator) -> list[str]:
-    """The label of each row of `n_dt`, in row order: the category of the
-    seeded topic with the highest count, `unassigned` if an unseeded topic
-    wins. Exact count ties are broken uniformly with one rng draw per tied
-    row, in row order; a row with one winner draws nothing."""
-    ties = n_dt == n_dt.max(axis=1, keepdims=True)
+def classify_all(model: SeededLdaModel, rng: np.random.Generator) -> dict[str, str]:
+    """Dominant-topic label of every document, in training order: the
+    category of the seeded topic with the highest count, `unassigned` if an
+    unseeded topic wins. Exact count ties are broken uniformly with rng, one
+    draw per tied document, in document order; a document with one winner
+    draws nothing."""
+    ties = model.n_dt == model.n_dt.max(axis=1, keepdims=True)
     counts = ties.sum(axis=1)
     winners = ties.argmax(axis=1)  # the first winner, right unless tied
     for d in np.flatnonzero(counts > 1):
         winners[d] = np.flatnonzero(ties[d])[rng.integers(counts[d])]
     names = (*model.categories, *(UNASSIGNED,) * model.num_unseeded)
-    return [names[t] for t in winners.tolist()]
-
-
-def classify(model: SeededLdaModel, doc: int, rng: np.random.Generator) -> str:
-    """Dominant-topic label for a document: the category of the seeded topic
-    with the highest count, `unassigned` if an unseeded topic wins. Exact
-    count ties are broken uniformly with the supplied rng."""
-    if not 0 <= doc < len(model.doc_ids):
-        raise IndexError(f"document index {doc} out of range")
-    return _dominant_labels(model, model.n_dt[doc:doc + 1], rng)[0]
-
-
-def classify_all(model: SeededLdaModel, rng: np.random.Generator) -> dict[str, str]:
-    """Labels for every document, in training order, drawing from rng as
-    :func:`classify` on each document in turn would."""
-    return dict(zip(model.doc_ids, _dominant_labels(model, model.n_dt, rng)))
+    return dict(zip(model.doc_ids, (names[t] for t in winners.tolist())))
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,8 @@ def test_criterion_02_gibbs_conditionals():
         for sweeps in range(11):
             model = train(docs, spec, iterations=sweeps, rng_seed=9)
 
-        prior, prior_total = model.word_prior()
+        state = model.sweep_state()
+        prior, prior_total = state.word_prior, state.prior_total
         for d in (0, 17, 49):
             w = int(model.doc_words[d][0])
             t_cur = int(model.assignments[d][0])

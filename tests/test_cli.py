@@ -478,6 +478,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "assignments.csv").exists()
 
+    @pytest.mark.parametrize("seeds, flags", [
+        ({"Music": [], "Sports": ["innings"]}, []),  # an empty seed list
+        ({}, ["--unseeded", "0"]),  # no topic at all
+        ({"Music": ["concert"]}, ["--unseeded", "1000000"]),  # far too many topics
+    ])
+    def test_bad_seed_spec_exits_2_naming_the_seeds_file(self, tmp_path, capsys, seeds,
+                                                         flags):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(seeds), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run("topics-train", *BASE, "--seed-file", str(path), *flags,
+                   "--iters", "0", "--out", str(out))
+        assert code == 2
+        assert f"tagtopics: data error: {path}: " in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("topics-classify", "rng_seed", -1, "rng_seed must be non-negative"),
+        ("report", "num_unseeded", 10 ** 12, "topics, over 1000"),
+    ])
+    def test_model_field_out_of_range_exits_2(self, tmp_path, capsys, command, key, value,
+                                              message):
+        out = str(tmp_path)
+        seed = ["--seed-file", str(DATA / "seeds.json")]
+        assert run("topics-train", *BASE, *seed, "--iters", "2", "--out", out) == 0
+        path = tmp_path / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(command, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+
     def test_report_without_artifacts_exits_2(self, tmp_path, capsys):
         assert run("report", "--out", str(tmp_path / "empty")) == 2
         assert "no artifacts" in capsys.readouterr().err

@@ -2,12 +2,15 @@
 training determinism and invariants, classification, evaluation metrics,
 gold-label derivation, and model persistence."""
 
+import ctypes
 import gc
 import json
 import math
+import re
 import shutil
 import tracemalloc
 import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagtopics import _gibbs, topics as topics_mod
-from tagtopics._gibbs import run_sweep
+from tagtopics._gibbs import SweepState, run_sweep
 from tagtopics.errors import DataError
 from tagtopics.textprep import TokenizedDoc
 from tagtopics.topics import (
+    MAX_TOPICS,
     UNASSIGNED,
     SeededLdaModel,
     SeedSpec,
-    classify,
     classify_all,
     derive_gold,
     doc_topic_distribution,
@@ -72,6 +75,20 @@ class TestSeedSpec:
     def test_unseeded_only_allowed(self):
         assert SeedSpec(seeded=(), unseeded=3).unseeded == 3
 
+    def test_topic_count_capped(self):
+        # train builds a V x K table, so K is capped before it is
+        assert SeedSpec(seeded=(("A", frozenset({"x"})),), unseeded=MAX_TOPICS - 1)
+        with pytest.raises(ValueError, match=f"need 1 to {MAX_TOPICS} topics"):
+            SeedSpec(seeded=(("A", frozenset({"x"})),), unseeded=MAX_TOPICS)
+
+    @pytest.mark.parametrize("mapping, unseeded", [
+        ({"A": [], "B": ["x"]}, 2), ({}, 0), ({"A": ["x"]}, MAX_TOPICS)])
+    def test_bad_spec_in_a_file_names_it(self, tmp_path, mapping, unseeded):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            SeedSpec.from_json_file(path, unseeded=unseeded)
+
     def test_bad_json_files(self, tmp_path):
         broken = tmp_path / "bad.json"
         broken.write_text("{not json", encoding="utf-8")
@@ -115,7 +132,8 @@ class TestWordPrior:
     def test_shapes_and_values(self):
         spec = SeedSpec.from_mapping({"A": ["a"], "B": ["b", "zz"]}, unseeded=1)
         model = train([doc(1, "a", "b", "c")], spec, iterations=0, rng_seed=0)
-        prior, total = model.word_prior()
+        state = model.sweep_state()
+        prior, total = state.word_prior, state.prior_total
         v, k = len(model.vocabulary), 3
         assert prior.shape == (v, k) and total.shape == (k,)
         a = model.vocabulary.index("a")
@@ -135,10 +153,28 @@ def token_docs(offsets):
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
-def replay_sweep(z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha, u):
+ARRAYS = ("z", "offsets", "word_of", "n_dt", "n_tw", "n_t", "word_prior", "prior_total")
+TOKENS_AND_COUNTS = ARRAYS[:6]  # the priors are read-only inputs
+WRITTEN = ("z", "n_dt", "n_tw", "n_t")
+
+
+def copied(state):
+    """state over copies of its arrays."""
+    return replace(state, **{name: getattr(state, name).copy() for name in ARRAYS})
+
+
+def assert_fields_equal(got, want, names=ARRAYS, err_msg=""):
+    for name in names:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=f"{err_msg} {name}")
+
+
+def replay_sweep(state, u):
     """Pure-Python mirror of the kernel, accumulating in the same order."""
+    z, word_of, n_dt, n_tw, n_t = state.z, state.word_of, state.n_dt, state.n_tw, state.n_t
+    prior, prior_total, alpha = state.word_prior, state.prior_total, state.alpha
     k = n_t.shape[0]
-    doc_of = token_docs(offsets)
+    doc_of = token_docs(state.offsets)
     for i in range(len(z)):
         d, w, t = doc_of[i], word_of[i], z[i]
         n_dt[d, t] -= 1
@@ -177,16 +213,16 @@ class Draws:
         out[:] = next(self._draws)
 
 
-def sweep_through(factory, state, alpha, draws):
+def sweep_through(factory, state, draws):
     """Open one sampler over `state` and run one sweep per entry of draws."""
     rng = Draws(draws)
-    with factory(*state, alpha) as sampler:
+    with factory(state) as sampler:
         for _ in draws:
             run_sweep(sampler, rng)
 
 
 class TestKernel:
-    def setup_state(self, rng, d_count=6, v=9, k=4, n=60, lengths=None):
+    def setup_state(self, rng, d_count=6, v=9, k=4, n=60, lengths=None, alpha=0.01):
         # n tokens in d_count documents of random length, or documents of
         # the given lengths
         if lengths is None:
@@ -205,19 +241,17 @@ class TestKernel:
         prior = np.full((v, k), 0.0001)
         prior[rng.integers(0, v, 3), rng.integers(0, k, 3)] += 0.5
         prior_total = prior.sum(axis=0)
-        return z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total
+        return SweepState(z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha)
 
     def test_kernel_matches_pure_python_replay(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             state = self.setup_state(rng)
-            u = rng.random(len(state[0]))
-            kernel_state = tuple(a.copy() for a in state)
-            replay_state = tuple(a.copy() for a in state)
-            sweep_through(_gibbs.open_sampler, kernel_state, 0.01, [u])
-            replay_sweep(*replay_state, 0.01, u)
-            for got, want in zip(kernel_state, replay_state):
-                np.testing.assert_array_equal(got, want)
+            u = rng.random(len(state.z))
+            kernel_state, replay_state = copied(state), copied(state)
+            sweep_through(_gibbs.open_sampler, kernel_state, [u])
+            replay_sweep(replay_state, u)
+            assert_fields_equal(kernel_state, replay_state)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8, 16])
     def test_backends_agree_with_each_other_and_replay(self, k):
@@ -231,18 +265,16 @@ class TestKernel:
                       {"d_count": 250, "v": 400, "n": 5000},
                       {"v": 9, "lengths": [0, 0, 5, 0, 1, 7, 0, 0, 3, 0]}):
             state = self.setup_state(rng, k=k, **shape)
-            n = len(state[0])
-            runs = {name: tuple(a.copy() for a in state) for name in kernels}
-            replay = tuple(a.copy() for a in state)
+            n = len(state.z)
+            runs = {name: copied(state) for name in kernels}
+            replay = copied(state)
             draws = [rng.random(n) for _ in range(5)]
             for name, factory in kernels.items():
-                sweep_through(factory, runs[name], 0.01, draws)
+                sweep_through(factory, runs[name], draws)
             for u in draws:
-                replay_sweep(*replay, 0.01, u)
+                replay_sweep(replay, u)
             for name, got_state in runs.items():
-                # z, n_dt, n_tw and n_t; the priors are read-only inputs
-                for got, want in zip(got_state[:6], replay[:6]):
-                    np.testing.assert_array_equal(got, want, err_msg=name)
+                assert_fields_equal(got_state, replay, TOKENS_AND_COUNTS, name)
 
     @pytest.mark.parametrize("sweeps", [1, 4])
     def test_sweeps_draw_one_uniform_per_token_from_the_generator(self, sweeps):
@@ -253,15 +285,14 @@ class TestKernel:
         for name, factory in (("open_sampler", _gibbs.open_sampler),
                               *_gibbs.backends().items()):
             state = self.setup_state(rng, d_count=30, v=50, n=400)
-            got, replay = (tuple(a.copy() for a in state) for _ in range(2))
+            got, replay = copied(state), copied(state)
             drawn, clone = np.random.default_rng(41), np.random.default_rng(41)
-            with factory(*got, 0.01) as sampler:
+            with factory(got) as sampler:
                 for _ in range(sweeps):
                     run_sweep(sampler, drawn)
             for _ in range(sweeps):
-                replay_sweep(*replay, 0.01, clone.random(len(state[0])))
-            for got_array, want in zip(got[:6], replay[:6]):
-                np.testing.assert_array_equal(got_array, want, err_msg=name)
+                replay_sweep(replay, clone.random(len(state.z)))
+            assert_fields_equal(got, replay, TOKENS_AND_COUNTS, name)
             assert drawn.bit_generator.state == clone.bit_generator.state, name
 
     def test_backends_agree_on_a_settled_chain(self):
@@ -287,22 +318,21 @@ class TestKernel:
         prior = np.full((v, k), tiny)
         for t in range(k):
             prior[t * per_topic:t * per_topic + 2, t] += 0.5
-        state = (z, np.cumsum([0, *lengths], dtype=np.int64), word_of, n_dt, n_tw,
-                 n_dt.sum(axis=0), prior, prior.sum(axis=0))
+        state = SweepState(z, np.cumsum([0, *lengths], dtype=np.int64), word_of, n_dt, n_tw,
+                           n_dt.sum(axis=0), prior, prior.sum(axis=0), tiny)
         draws = [rng.random(n) for _ in range(200)]
         kernels = _gibbs.backends()
-        runs = {name: tuple(a.copy() for a in state) for name in kernels}
+        runs = {name: copied(state) for name in kernels}
         for name, factory in kernels.items():
-            sweep_through(factory, runs[name], tiny, draws)
-        replay = tuple(a.copy() for a in state)
+            sweep_through(factory, runs[name], draws)
+        replay = copied(state)
         for u in draws[:-1]:
-            replay_sweep(*replay, tiny, u)
-        last = replay[0].copy()
-        replay_sweep(*replay, tiny, draws[-1])
-        assert (replay[0] != last).sum() < n / 10  # settled: few tokens move
+            replay_sweep(replay, u)
+        last = replay.z.copy()
+        replay_sweep(replay, draws[-1])
+        assert (replay.z != last).sum() < n / 10  # settled: few tokens move
         for name, got_state in runs.items():
-            for got, want in zip(got_state[:6], replay[:6]):
-                np.testing.assert_array_equal(got, want, err_msg=name)
+            assert_fields_equal(got_state, replay, TOKENS_AND_COUNTS, name)
 
     def test_draws_on_a_weight_boundary_agree(self):
         # r = u * total placed exactly on, and just below, each running sum
@@ -312,9 +342,10 @@ class TestKernel:
         kernels = _gibbs.backends()
         for _ in range(4):
             state = self.setup_state(rng, k=8)
-            z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total = (
-                a.copy() for a in state)
-            d, w, t = token_docs(offsets)[0], word_of[0], z[0]
+            s = copied(state)
+            n_dt, n_tw, n_t, prior, prior_total = (
+                s.n_dt, s.n_tw, s.n_t, s.word_prior, s.prior_total)
+            d, w, t = token_docs(s.offsets)[0], s.word_of[0], s.z[0]
             n_dt[d, t] -= 1
             n_tw[w, t] -= 1
             n_t[t] -= 1
@@ -330,15 +361,14 @@ class TestKernel:
                         break
                     draw = np.nextafter(draw, np.inf if draw * acc < target else -np.inf)
                 for first in (draw, np.nextafter(draw, -np.inf)):
-                    u = rng.random(len(state[0]))
+                    u = rng.random(len(state.z))
                     u[0] = first
-                    replay = tuple(a.copy() for a in state)
-                    replay_sweep(*replay, 0.01, u)
+                    replay = copied(state)
+                    replay_sweep(replay, u)
                     for name, factory in kernels.items():
-                        got = tuple(a.copy() for a in state)
-                        sweep_through(factory, got, 0.01, [u])
-                        for got_array, want in zip(got[:6], replay[:6]):
-                            np.testing.assert_array_equal(got_array, want, err_msg=name)
+                        got = copied(state)
+                        sweep_through(factory, got, [u])
+                        assert_fields_equal(got, replay, TOKENS_AND_COUNTS, name)
 
     def test_degenerate_weights_rejected(self):
         # zero prior and zero alpha leave every numerator at zero once the
@@ -353,8 +383,8 @@ class TestKernel:
             prior = np.zeros((1, 2))
             prior_total = np.ones(2)
             with pytest.raises(AssertionError):
-                sweep_through(factory, (z, offsets, word_of, n_dt, n_tw, n_t,
-                                        prior, prior_total), 0.0, [np.array([0.5])])
+                sweep_through(factory, SweepState(z, offsets, word_of, n_dt, n_tw, n_t,
+                                                  prior, prior_total, 0.0), [np.array([0.5])])
 
     def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
         # token 3 is alone in document 1 and its word has no prior, so with
@@ -369,23 +399,22 @@ class TestKernel:
         states = {}
         for name, factory in (("open_sampler", _gibbs.open_sampler),
                               *_gibbs.backends().items()):
-            state = (z.copy(), offsets, word_of, np.array([[2, 1], [0, 1], [1, 1]]),
-                     np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
-                     prior.sum(axis=0))
+            state = SweepState(z.copy(), offsets, word_of, np.array([[2, 1], [0, 1], [1, 1]]),
+                               np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
+                               prior.sum(axis=0), 0.0)
             with pytest.raises(AssertionError):
-                sweep_through(factory, state, 0.0, [u])
+                sweep_through(factory, state, [u])
             states[name] = state
         want = states.pop("open_sampler")
         # token 3 is out of the counts, the rest are counted where z puts them
         counted = np.arange(6) != 3
         n_dt = np.zeros((3, 2), dtype=np.int64)
-        np.add.at(n_dt, (token_docs(offsets)[counted], want[0][counted]), 1)
-        np.testing.assert_array_equal(want[3], n_dt)
-        np.testing.assert_array_equal(want[5], n_dt.sum(axis=0))
-        np.testing.assert_array_equal(want[0][3:], z[3:])
+        np.add.at(n_dt, (token_docs(offsets)[counted], want.z[counted]), 1)
+        np.testing.assert_array_equal(want.n_dt, n_dt)
+        np.testing.assert_array_equal(want.n_t, n_dt.sum(axis=0))
+        np.testing.assert_array_equal(want.z[3:], z[3:])
         for name, got in states.items():
-            for got_array, want_array in zip(got[:6], want[:6]):
-                np.testing.assert_array_equal(got_array, want_array, err_msg=name)
+            assert_fields_equal(got, want, TOKENS_AND_COUNTS, name)
 
     def test_degenerate_total_on_a_later_sweep_leaves_the_same_state(self):
         # alpha = 0. Tokens 1-4 are pinned to their topic by a one-topic
@@ -407,25 +436,24 @@ class TestKernel:
             n_dt, n_tw = np.zeros((2, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)
             np.add.at(n_dt, (doc_of, z), 1)
             np.add.at(n_tw, (word_of, z), 1)
-            state = (z.copy(), offsets, word_of, n_dt, n_tw, n_dt.sum(axis=0),
-                     prior, prior.sum(axis=0))
+            state = SweepState(z.copy(), offsets, word_of, n_dt, n_tw, n_dt.sum(axis=0),
+                               prior, prior.sum(axis=0), 0.0)
             done, rng = [], Draws(draws)
-            with pytest.raises(AssertionError), factory(*state, 0.0) as sampler:
+            with pytest.raises(AssertionError), factory(state) as sampler:
                 for u in draws:
                     run_sweep(sampler, rng)
                     done.append(u)
             assert len(done) == 2, name
             states[name] = state
         want = states.pop("python")
-        np.testing.assert_array_equal(want[0], [1, 0, 0, 1, 1, 0, 0])
+        np.testing.assert_array_equal(want.z, [1, 0, 0, 1, 1, 0, 0])
         counted = np.arange(7) != 6  # token 6 is out of the counts
         n_dt = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(n_dt, (doc_of[counted], want[0][counted]), 1)
-        np.testing.assert_array_equal(want[3], n_dt)
-        np.testing.assert_array_equal(want[5], n_dt.sum(axis=0))
+        np.add.at(n_dt, (doc_of[counted], want.z[counted]), 1)
+        np.testing.assert_array_equal(want.n_dt, n_dt)
+        np.testing.assert_array_equal(want.n_t, n_dt.sum(axis=0))
         for name, got in states.items():
-            for got_array, want_array in zip(got[:6], want[:6]):
-                np.testing.assert_array_equal(got_array, want_array, err_msg=name)
+            assert_fields_equal(got, want, TOKENS_AND_COUNTS, name)
 
     def test_generated_sweep_built_once_per_k(self):
         rng = np.random.default_rng(5)
@@ -433,56 +461,66 @@ class TestKernel:
         try:
             for k in (3, 3, 5, 3):
                 state = self.setup_state(rng, k=k)
-                sweep_through(_gibbs._python_sampler, state, 0.01,
-                              [rng.random(len(state[0]))] * 2)
+                sweep_through(_gibbs._python_sampler, state, [rng.random(len(state.z))] * 2)
             info = _gibbs._unrolled_sweep.cache_info()
             assert (info.misses, info.hits) == (2, 2)
         finally:
             _gibbs._unrolled_sweep.cache_clear()
 
+    def test_kernel_parameters_follow_the_state_fields(self):
+        # the C kernel takes its inputs by position: n_docs and k, then the
+        # SweepState fields in order, then the sampler's own arrays, and the
+        # compiled backend passes one argument of the C type per parameter
+        source = _gibbs._SOURCE.read_text(encoding="utf-8")
+        params = [" ".join(p.split()) for p in re.search(
+            r"int tagtopics_sweep\(([^)]*)\)", source).group(1).split(",")]
+        names = [re.search(r"\w+$", p).group() for p in params]
+        state_names = [f.name for f in fields(SweepState)]
+        assert names == ["n_docs", "k", *state_names, *_gibbs._OWN_ARRAYS]
+        compiled = _gibbs.backends().get("c")
+        if compiled is not None:
+            want = [ctypes.c_void_p if "*" in p else ctypes.c_double if "double" in p
+                    else ctypes.c_int64 for p in params]
+            assert list(compiled.args[0].argtypes) == want
+
     def test_bad_arrays_rejected_before_counts_change(self):
         # bad state when the sampler opens, and a sweep once it closed
         rng = np.random.default_rng(3)
         state = self.setup_state(rng)
-
-        def swap(index, value):
-            return (*state[:index], value, *state[index + 1:])
-
-        fortran_n_dt = np.asfortranarray(state[3])
-        read_only_n_t = state[5].copy()
+        fortran_n_dt = np.asfortranarray(state.n_dt)
+        read_only_n_t = state.n_t.copy()
         read_only_n_t.flags.writeable = False
         # offsets that would walk tokens outside [0, N) or twice
-        first_not_zero, last_not_n, decrease = (state[1].copy() for _ in range(3))
+        first_not_zero, last_not_n, decrease = (state.offsets.copy() for _ in range(3))
         first_not_zero[0] = -1
         last_not_n[-1] += 1
         decrease[2] = decrease[3] + 1
-        negative_topic = state[0].copy()
+        negative_topic = state.z.copy()
         negative_topic[0] = -1
         at_open = [
-            (TypeError, swap(0, state[0].astype(np.int64))),
-            (TypeError, swap(3, state[3].astype(np.int32))),
-            (TypeError, swap(6, state[6].astype(np.float32))),
-            (TypeError, swap(1, state[1].tolist())),
-            (TypeError, swap(1, state[1].astype(np.int32))),
-            (ValueError, swap(3, fortran_n_dt)),
-            (ValueError, swap(2, np.repeat(state[2], 2)[::2])),
-            (ValueError, swap(5, read_only_n_t)),
-            (ValueError, swap(1, state[1][:-1].copy())),
-            (ValueError, swap(7, state[7][:-1].copy())),
-            (ValueError, swap(7, np.zeros_like(state[7]))),
-            (ValueError, swap(1, first_not_zero)),
-            (ValueError, swap(1, last_not_n)),
-            (ValueError, swap(1, decrease)),
-            (ValueError, swap(0, negative_topic)),
+            (TypeError, replace(state, z=state.z.astype(np.int64))),
+            (TypeError, replace(state, n_dt=state.n_dt.astype(np.int32))),
+            (TypeError, replace(state, word_prior=state.word_prior.astype(np.float32))),
+            (TypeError, replace(state, offsets=state.offsets.tolist())),
+            (TypeError, replace(state, offsets=state.offsets.astype(np.int32))),
+            (ValueError, replace(state, n_dt=fortran_n_dt)),
+            (ValueError, replace(state, word_of=np.repeat(state.word_of, 2)[::2])),
+            (ValueError, replace(state, n_t=read_only_n_t)),
+            (ValueError, replace(state, offsets=state.offsets[:-1].copy())),
+            (ValueError, replace(state, prior_total=state.prior_total[:-1].copy())),
+            (ValueError, replace(state, prior_total=np.zeros_like(state.prior_total))),
+            (ValueError, replace(state, offsets=first_not_zero)),
+            (ValueError, replace(state, offsets=last_not_n)),
+            (ValueError, replace(state, offsets=decrease)),
+            (ValueError, replace(state, z=negative_topic)),
         ]
         for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
-            for error, args in at_open:
-                before = [np.copy(a) for a in args]
+            for error, bad in at_open:
+                before = copied(bad)
                 with pytest.raises(error):
-                    factory(*args, 0.01)
-                for got, want in zip(args, before):
-                    np.testing.assert_array_equal(got, want)
-            with factory(*state, 0.01) as sampler:
+                    factory(bad)
+                assert_fields_equal(bad, before)
+            with factory(state) as sampler:
                 pass
             drawn = rng.bit_generator.state
             with pytest.raises(ValueError, match="closed"):
@@ -497,23 +535,22 @@ class TestKernel:
         rng = np.random.default_rng(19)
         state = self.setup_state(rng, d_count=30, v=50, n=400)
         draws = [rng.random(400) for _ in range(3)]
-        replay = tuple(a.copy() for a in state)
+        replay = copied(state)
         for u in draws:
-            replay_sweep(*replay, 0.01, u)
+            replay_sweep(replay, u)
         for name, factory in _gibbs.backends().items():
-            got = tuple(a.copy() for a in state)
-            z, offsets, word_of = got[:3]
+            got = copied(state)
+            z, offsets, word_of = got.z, got.offsets, got.word_of
             rng = Draws(draws)
-            with factory(*got, 0.01) as sampler:
+            with factory(got) as sampler:
                 for _ in draws:
                     z[:] = -1
-                    offsets[:] = state[1][::-1] + 2 ** 62
-                    word_of[::2], word_of[1::2] = -7, state[4].shape[0]
+                    offsets[:] = state.offsets[::-1] + 2 ** 62
+                    word_of[::2], word_of[1::2] = -7, state.n_tw.shape[0]
                     run_sweep(sampler, rng)
                 np.testing.assert_array_equal(z, -1, err_msg=name)
             # z, n_dt, n_tw and n_t as replayed on the original ids
-            for index in (0, 3, 4, 5):
-                np.testing.assert_array_equal(got[index], replay[index], err_msg=name)
+            assert_fields_equal(got, replay, WRITTEN, name)
 
     def test_compiled_sampler_keeps_its_arrays_alive(self):
         # the C sweep passes raw pointers, so the sampler must hold every
@@ -527,29 +564,29 @@ class TestKernel:
             pytest.skip("no C compiler: the C kernel was not built")
         rng = np.random.default_rng(13)
         state = self.setup_state(rng)
-        u = rng.random(len(state[0]))
-        fresh = [a.copy() for a in state]
-        held = (0, 3, 4, 5, 6, 7)
-        refs = [weakref.ref(fresh[i]) for i in held]
-        copied = [weakref.ref(fresh[i]) for i in (1, 2)]
-        sampler = factory(*fresh, 0.01)
+        u = rng.random(len(state.z))
+        fresh = copied(state)
+        held = ("z", "n_dt", "n_tw", "n_t", "word_prior", "prior_total")
+        refs = [weakref.ref(getattr(fresh, name)) for name in held]
+        ids = [weakref.ref(getattr(fresh, name)) for name in ("offsets", "word_of")]
+        sampler = factory(fresh)
         del fresh
         gc.collect()
         assert all(ref() is not None for ref in refs)
-        assert all(ref() is None for ref in copied)
+        assert all(ref() is None for ref in ids)
         # arrays of NaN and of ids far out of range take over any memory
         # freed too early, and a sweep reading it would not match the replay
-        shapes = (state[3].shape, state[4].shape, state[5].shape)
+        shapes = (state.n_dt.shape, state.n_tw.shape, state.n_t.shape)
         garbage = [np.full(shape, np.nan) for shape in shapes for _ in range(8)]
         garbage += [np.full(len(u), -(2 ** 30), dtype=np.int32) for _ in range(8)]
         del garbage
         with sampler:
             run_sweep(sampler, Draws([u]))
             arrays = [ref() for ref in refs]
-        replay = tuple(a.copy() for a in state)
-        replay_sweep(*replay, 0.01, u)
-        for got, want in zip(arrays, (replay[i] for i in held)):
-            np.testing.assert_array_equal(got, want)
+        replay = copied(state)
+        replay_sweep(replay, u)
+        for got, name in zip(arrays, held):
+            np.testing.assert_array_equal(got, getattr(replay, name))
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
         # the factor tables, 8 bytes per count, and the draws and the
@@ -562,13 +599,13 @@ class TestKernel:
             pytest.skip("no C compiler: the C kernel was not built")
         rng = np.random.default_rng(17)
         state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
-        u = rng.random(len(state[0]))
-        table_bytes = 8 * sum(a.size for a in state[3:6])
-        copy_bytes = 16 * len(u) + 8 * len(state[1])
+        u = rng.random(len(state.z))
+        table_bytes = 8 * sum(a.size for a in (state.n_dt, state.n_tw, state.n_t))
+        copy_bytes = 16 * len(u) + 8 * len(state.offsets)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            with factory(*state, 0.01) as sampler:
+            with factory(state) as sampler:
                 run_sweep(sampler, Draws([u]))
                 opened, _ = tracemalloc.get_traced_memory()
             closed, _ = tracemalloc.get_traced_memory()
@@ -822,10 +859,20 @@ class TestTokenArrays:
         with pytest.raises(ValueError, match="disagree in length"):
             SeededLdaModel(**{**self.FIELDS, **change})
 
+    @pytest.mark.parametrize("change, message", [
+        ({"rng_seed": -1}, "rng_seed must be non-negative"),
+        ({"num_unseeded": MAX_TOPICS}, f"{MAX_TOPICS + 1} topics, over {MAX_TOPICS}"),
+        # rejected before a count table of 10**12 columns is allocated
+        ({"num_unseeded": 10 ** 12}, "topics, over"),
+    ])
+    def test_out_of_range_fields_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SeededLdaModel(**{**self.FIELDS, **change})
+
 
 def make_model(n_dt_rows, categories, num_unseeded):
     """Hand-built model wrapping given document-topic counts; only the fields
-    classify() touches need to be meaningful."""
+    classify_all() touches need to be meaningful."""
     n_dt = np.array(n_dt_rows, dtype=np.int64)
     d, k = n_dt.shape
     assert k == len(categories) + num_unseeded
@@ -851,25 +898,25 @@ def make_model(n_dt_rows, categories, num_unseeded):
 class TestClassify:
     def test_seeded_argmax(self):
         model = make_model([[3, 1, 0]], ["A", "B"], 1)
-        assert classify(model, 0, np.random.default_rng(0)) == "A"
+        assert classify_all(model, np.random.default_rng(0)) == {"d0": "A"}
 
     def test_unseeded_winner_is_unassigned(self):
         model = make_model([[1, 0, 4]], ["A", "B"], 1)
-        assert classify(model, 0, np.random.default_rng(0)) == UNASSIGNED
+        assert classify_all(model, np.random.default_rng(0)) == {"d0": UNASSIGNED}
 
     def test_tie_broken_uniformly(self):
         model = make_model([[2, 2]], ["A", "B"], 0)
         rng = np.random.default_rng(13)
         trials = 10_000
         a_wins = sum(
-            classify(model, 0, rng) == "A" for _ in range(trials)
+            classify_all(model, rng)["d0"] == "A" for _ in range(trials)
         )
         assert abs(a_wins / trials - 0.5) <= 0.05
 
     def test_near_tie_is_not_a_tie(self):
         model = make_model([[3, 2]], ["A", "B"], 0)
         rng = np.random.default_rng(13)
-        assert all(classify(model, 0, rng) == "A" for _ in range(50))
+        assert all(classify_all(model, rng)["d0"] == "A" for _ in range(50))
 
     def test_classify_all_order(self):
         model = make_model([[2, 0], [0, 2]], ["A"], 1)
