@@ -374,8 +374,8 @@ def _cmd_pairs(cfg: RunConfig) -> None:
     rel_config = relations(whole_subtree=cfg.subtree)
     rows = []
     for name, trees in groups.items():
-        if cfg.verbs:
-            targets = [v.casefold() for v in cfg.verbs]
+        if cfg.verbs:  # each casefolded lemma once, in first-seen order
+            targets = list(dict.fromkeys(v.casefold() for v in cfg.verbs))
         else:
             profiles = syntax_mod.distinctive_verbs({name: trees}, n=5)
             targets = [lemma for lemma, _, _ in profiles[0].verbs] if profiles else []

@@ -153,10 +153,7 @@ def tfidf(
     names = [name for name, _ in group_docs]
     if len(names) != len(set(names)):
         raise ValueError("group names must be unique")
-    counts: list[tuple[str, Counter]] = []
-    for name, doc in group_docs:
-        c = Counter(dict(doc)) if isinstance(doc, Mapping) else Counter(doc)
-        counts.append((name, c))
+    counts = [(name, Counter(doc)) for name, doc in group_docs]
     g = len(counts)
     df: Counter = Counter()
     for _, c in counts:

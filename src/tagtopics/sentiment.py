@@ -40,6 +40,7 @@ NON_NEUTRAL = (
 )
 
 _LABEL_BY_VALUE = {label.value: label for label in SentimentLabel}
+_THRESHOLDS = (0.5, 0.05)  # t_strong, t_weak
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,10 @@ class SentimentDistribution:
     insufficient_data: bool
 
 
-def score_lexicon(
-    tokens: Iterable[str],
-    lexicon: Mapping[str, float],
-    thresholds: tuple[float, float] = (0.5, 0.05),
-) -> SentimentLabel:
-    """Label a token sequence by mean valence of its lexicon hits."""
-    t_strong, t_weak = thresholds
-    if not (0 < t_weak < t_strong <= 1):
-        raise ValueError("thresholds must satisfy 0 < t_weak < t_strong <= 1")
+def score_lexicon(tokens: Iterable[str], lexicon: Mapping[str, float]) -> SentimentLabel:
+    """Label a token sequence by mean valence of its lexicon hits, with
+    t_strong 0.5 and t_weak 0.05."""
+    t_strong, t_weak = _THRESHOLDS
     hits = [lexicon[t] for t in tokens if t in lexicon]
     m = sum(hits) / len(hits) if hits else 0.0
     if m >= t_strong:

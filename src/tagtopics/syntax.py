@@ -215,17 +215,15 @@ def verb_noun_pairs(
 
 
 def distinctive_verbs(
-    groups: Mapping[str, Sequence[DependencyTree]] | Sequence[tuple[str, Sequence[DependencyTree]]],
-    n: int = 10,
+    groups: Mapping[str, Sequence[DependencyTree]], n: int = 10
 ) -> list[VerbProfile]:
     """Per group, the verbs most distinctive of it: verb lemmas are counted
     per group, each group becomes one pseudo-document, and any verb present in
     all G groups has tf-idf 0 and is dropped. Survivors are ranked by in-group
     count, ties lexicographic. With a single group nothing can be distinctive
     by that rule, so idf degrades to ln((G + 1) / df) and every verb is kept."""
-    pairs = list(groups.items()) if isinstance(groups, Mapping) else list(groups)
     counts: list[tuple[str, Counter]] = []
-    for name, trees in pairs:
+    for name, trees in groups.items():
         c: Counter = Counter()
         for tree in trees:
             c.update(

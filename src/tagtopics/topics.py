@@ -36,7 +36,7 @@ DEFAULT_UNSEEDED = 2
 MAX_TOPICS = 1000  # far above any taxonomy; checked before a V x K table is built
 
 _FORMAT = "tagtopics-lda"
-_FORMAT_VERSION = 2  # version 1 also stored n_dt, n_tw and n_t
+_FORMAT_VERSION = 2  # version 1, which also stored the count tables, is not read
 _SEPARATORS = (",", ":")
 _SAVE_ITEMS = 8192  # JSON values (strings, ids, id lists) per piece save_model writes
 
@@ -184,23 +184,6 @@ class SeededLdaModel:
             total[t] += self.mu * len(ids)
         return SweepState(self.z, self.offsets, self.word_of, self.n_dt, self.n_tw,
                           self.n_t, prior, total, self.alpha)
-
-
-def topic_weights(
-    doc_topic_counts: np.ndarray,
-    word_topic_counts: np.ndarray,
-    topic_totals: np.ndarray,
-    alpha: float,
-    word_prior: np.ndarray,
-    prior_total: np.ndarray,
-) -> np.ndarray:
-    """Unnormalized conditional weights for one token, given counts with the
-    token already removed. Reference form of the kernel's inner loop."""
-    return (
-        (doc_topic_counts + alpha)
-        * (word_topic_counts + word_prior)
-        / (topic_totals + prior_total)
-    )
 
 
 def train(
@@ -484,14 +467,14 @@ def load_model(path) -> SeededLdaModel:
     """Read a model written by :func:`save_model`. Every field is
     type-checked, and doc_words and assignments must agree in length document
     by document; the model then checks its ids and hyperparameters as it does
-    for :func:`train` and counts its tables from them. Version 1 files, which
-    also stored the count tables, load only if those equal the counted ones.
-    Any malformed file or payload raises DataError."""
+    for :func:`train` and counts its tables from them. The version must be
+    the JSON integer 2. Any malformed file or payload raises DataError."""
     payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
-    if payload.get("version") not in (1, _FORMAT_VERSION):
-        raise DataError(f"{path}: unsupported model version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != _FORMAT_VERSION:  # so 2.0 and true are not 2
+        raise DataError(f"{path}: unsupported model version {version!r}")
     try:
         fields = {key: tuple(_field(payload, key, (list,), str))
                   for key in ("vocabulary", "doc_ids", "dropped_doc_ids", "categories")}
@@ -504,15 +487,8 @@ def load_model(path) -> SeededLdaModel:
         z, z_offsets = _id_lists(payload, "assignments")
         if not np.array_equal(z_offsets, offsets):
             raise ValueError("doc_words and assignments disagree in length in a document")
-        model = SeededLdaModel(**fields, word_of=word_of, z=z, offsets=offsets)
-        if payload["version"] == 1:  # n_tw was stored as sparse [word, topic, count]
-            cells = np.argwhere(model.n_tw)
-            stored = {"n_dt": model.n_dt.tolist(), "n_t": model.n_t.tolist(),
-                      "n_tw": np.column_stack([cells, model.n_tw[tuple(cells.T)]]).tolist()}
-            if any(payload.get(key) != table for key, table in stored.items()):
-                raise ValueError("stored count tables disagree with the assignments")
+        return SeededLdaModel(**fields, word_of=word_of, z=z, offsets=offsets)
     except KeyError as exc:
         raise DataError(f"{path}: model payload lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model payload: {exc}") from exc
-    return model

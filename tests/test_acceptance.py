@@ -29,13 +29,7 @@ from tagtopics.syntax import (
 )
 from tagtopics.corpus import load_taxonomy
 from tagtopics.textprep import TokenizedDoc, _echo_terms
-from tagtopics.topics import (
-    SeedSpec,
-    classify_all,
-    evaluate,
-    topic_weights,
-    train,
-)
+from tagtopics.topics import SeedSpec, classify_all, evaluate, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +102,12 @@ def test_criterion_01_seeded_recovery():
 
 # ---------------------------------------------------------------------------
 # 2. sampler conditionals and count invariants
+
+
+def topic_weights(nd, nw, nt, alpha, word_prior, prior_total):
+    """The collapsed conditional of one token, counts without the token: the
+    formula tests/test_topics.py's kernel replay computes."""
+    return (nd + alpha) * (nw + word_prior) / (nt + prior_total)
 
 
 def test_criterion_02_gibbs_conditionals():

@@ -220,6 +220,21 @@ class TestPairs:
             ["Music", "read", "student", "1"],
         ]
 
+    @pytest.mark.parametrize("verbs, once", [
+        (["buy", "buy"], ["buy"]),
+        (["Buy", "buy"], ["buy"]),
+        (["read", "buy", "READ"], ["read", "buy"]),
+    ])
+    def test_repeated_verb_listed_once(self, tmp_path, verbs, once):
+        # each lemma's rows appear once per category, in first-seen order
+        written = {}
+        for name, lemmas in (("repeated", verbs), ("once", once)):
+            flags = [arg for lemma in lemmas for arg in ("--verb", lemma)]
+            assert run("pairs", *BASE, *PARSES, *flags, "--out", str(tmp_path / name)) == 0
+            written[name] = read_csv(tmp_path / name / "pairs.csv")
+        assert written["repeated"] == written["once"]
+        assert len(written["once"]) > 1
+
     def test_ud_scheme_disables_two_hop(self, tmp_path):
         assert run(
             "pairs", *BASE, *PARSES,
@@ -497,6 +512,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, value, message", [
         ("topics-classify", "rng_seed", -1, "rng_seed must be non-negative"),
         ("report", "num_unseeded", 10 ** 12, "topics, over 1000"),
+        # only the JSON integer 2 is a version this loader reads
+        *(("topics-classify", "version", version, f"unsupported model version {version!r}")
+          for version in (2.0, True, 1.0, "2", 1)),
     ])
     def test_model_field_out_of_range_exits_2(self, tmp_path, capsys, command, key, value,
                                               message):

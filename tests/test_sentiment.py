@@ -63,16 +63,6 @@ class TestScoreLexicon:
         lex = {"good": 0.6, "bad": -0.6}
         assert score_lexicon(["good", "bad", "bad"], lex) is N
 
-    @pytest.mark.parametrize(
-        "thresholds", [(0.05, 0.5), (0.5, 0.0), (0.5, -0.1), (1.2, 0.05), (0.3, 0.3)]
-    )
-    def test_bad_thresholds(self, thresholds):
-        with pytest.raises(ValueError):
-            score_lexicon(["w"], {"w": 0.1}, thresholds)
-
-    def test_custom_thresholds(self):
-        assert score_lexicon(["w"], {"w": 0.25}, (0.2, 0.1)) is SP
-
     def test_negation_antisymmetry(self):
         # flipping every valence mirrors the label; exact because float
         # negation is exact and both means divide by the same length

@@ -253,7 +253,7 @@ class TestDistinctiveVerbs:
 
     def test_verb_in_every_group_is_dropped(self):
         t = self.split_fixture()
-        groups = [("A", [t["t02"], t["t03"]]), ("B", [t["t08"], t["t06"]])]
+        groups = {"A": [t["t02"], t["t03"]], "B": [t["t08"], t["t06"]]}
         profiles = distinctive_verbs(groups)
         by_name = {p.category: p.verbs for p in profiles}
         # "read" appears in both groups and is annihilated
@@ -270,27 +270,21 @@ class TestDistinctiveVerbs:
 
     def test_ranking_count_desc_then_lemma(self):
         t = self.split_fixture()
-        groups = [
-            ("A", [t["t04"], t["t05"], t["t01"], t["t07"]]),  # buy x2, deal, bark
-            ("B", [t["t09"]]),  # visit
-        ]
+        groups = {
+            "A": [t["t04"], t["t05"], t["t01"], t["t07"]],  # buy x2, deal, bark
+            "B": [t["t09"]],  # visit
+        }
         by_name = {p.category: p.verbs for p in distinctive_verbs(groups)}
         assert [v[:2] for v in by_name["A"]] == [("buy", 2), ("bark", 1), ("deal", 1)]
         assert [v[:2] for v in by_name["B"]] == [("visit", 1)]
 
     def test_top_n_truncates(self):
         t = self.split_fixture()
-        groups = [("A", [t["t04"], t["t05"], t["t01"], t["t07"]]), ("B", [t["t09"]])]
+        groups = {"A": [t["t04"], t["t05"], t["t01"], t["t07"]], "B": [t["t09"]]}
         by_name = {p.category: p.verbs for p in distinctive_verbs(groups, n=1)}
         assert [v[0] for v in by_name["A"]] == ["buy"]
 
-    def test_mapping_and_pair_inputs_agree(self):
-        t = self.split_fixture()
-        as_map = distinctive_verbs({"A": [t["t02"]], "B": [t["t06"]]})
-        as_pairs = distinctive_verbs([("A", [t["t02"]]), ("B", [t["t06"]])])
-        assert as_map == as_pairs
-
     def test_empty_groups(self):
-        assert distinctive_verbs([]) == []
+        assert distinctive_verbs({}) == []
         (profile,) = distinctive_verbs({"empty": []})
         assert profile.verbs == ()
