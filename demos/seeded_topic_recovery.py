@@ -13,6 +13,7 @@ import numpy as np
 from tagtopics import (
     SeedSpec,
     TokenizedDoc,
+    TrainSettings,
     classify_all,
     doc_topic_distribution,
     evaluate,
@@ -50,15 +51,9 @@ seeds = {
 for name, words in seeds.items():
     print(f"seeds[{name}] = {words}")
 
-model = train(
-    docs,
-    SeedSpec.from_mapping(seeds, unseeded=2),
-    alpha=0.01,
-    beta=0.0001,
-    mu=0.5,
-    iterations=500,
-    rng_seed=7,
-)
+# alpha 0.01, beta 0.0001 and mu 0.5 are TrainSettings' defaults
+spec = SeedSpec.from_mapping(seeds, unseeded=2)
+model = train(docs, spec, TrainSettings(iterations=500, rng_seed=7))
 print(f"\ntrained: {len(model.doc_ids)} docs, |V|={model.vocab_size}, "
       f"{model.num_topics} topics")
 

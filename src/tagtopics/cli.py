@@ -39,7 +39,8 @@ from .errors import SKIPPED, DataError, iter_csv, read_json
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RNG_SEED = 12345
+DEFAULT_RNG_SEED = 12345  # the library's TrainSettings default is 0
+_TRAIN_DEFAULTS = topics_mod.TrainSettings()
 
 
 class UsageError(Exception):
@@ -80,10 +81,10 @@ class RunConfig:
     predictions: str | None = _option(None, "assignments CSV to evaluate")
     out: str = _option("out", "output directory")
     stem: bool = _option(True, "Porter-stem normalized tokens")
-    alpha: float = _option(topics_mod.DEFAULT_ALPHA, "document-topic prior", gt=0)
-    beta: float = _option(topics_mod.DEFAULT_BETA, "topic-word prior", gt=0)
-    mu: float = _option(topics_mod.DEFAULT_MU, "extra prior mass on seed words", ge=0)
-    iters: int = _option(topics_mod.DEFAULT_ITERATIONS, "Gibbs sweeps", ge=0)
+    alpha: float = _option(_TRAIN_DEFAULTS.alpha, "document-topic prior", gt=0)
+    beta: float = _option(_TRAIN_DEFAULTS.beta, "topic-word prior", gt=0)
+    mu: float = _option(_TRAIN_DEFAULTS.mu, "extra prior mass on seed words", ge=0)
+    iters: int = _option(_TRAIN_DEFAULTS.iterations, "Gibbs sweeps", ge=0)
     unseeded: int = _option(topics_mod.DEFAULT_UNSEEDED, "number of unseeded topics", ge=0)
     rng_seed: int = _option(DEFAULT_RNG_SEED, "RNG seed", ge=0)
     top_n: int = _option(10, "rows per ranking", ge=0)
@@ -99,14 +100,9 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            problem = _problem(f, value)
+            problem = _problem(f, getattr(self, f.name))
             if problem:
                 raise UsageError(f"{_flag(f)} (config key {f.name}) {problem}")
-            if type(value) is int and _TYPES[f.name][0] is float:
-                # stored as the flag parser stores it, so both layers write
-                # the same artifact bytes
-                setattr(self, f.name, float(value))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -416,8 +412,9 @@ def _cmd_topics_train(cfg: RunConfig) -> None:
     norm, exclusions = _norm_config(cfg), _exclusions(cfg)
     seeds = _normalized_seeds(cfg, norm, taxonomy, exclusions)
     docs = textprep.tokenize_tweets(tweets, norm, taxonomy, exclusions)
-    model = topics_mod.train(docs, seeds, alpha=cfg.alpha, beta=cfg.beta, mu=cfg.mu,
-                             iterations=cfg.iters, rng_seed=cfg.rng_seed)
+    settings = topics_mod.TrainSettings(alpha=cfg.alpha, beta=cfg.beta, mu=cfg.mu,
+                                        iterations=cfg.iters, rng_seed=cfg.rng_seed)
+    model = topics_mod.train(docs, seeds, settings)
     out = _out_dir(cfg)
     topics_mod.save_model(model, out / "model.json")
     print(
@@ -498,7 +495,7 @@ def _cmd_report(cfg: RunConfig) -> None:
             "documents": len(model.doc_ids),
             "vocabulary": model.vocab_size,
             "topics": model.num_topics,
-            "iterations": model.iterations,
+            "iterations": model.settings.iterations,
         }
     report_path = out / "report.json"
     if report_path.exists():

@@ -6,14 +6,17 @@ mass mu on top of the symmetric beta; a configurable number of unseeded
 topics absorbs everything else. Training is single-threaded and fully
 deterministic for a given rng seed: initialization draws and one uniform per
 token per sweep all come from the same PCG64 stream, in document order.
+
+A training's settings are one record, :class:`TrainSettings`, checked once
+when built: :func:`train` takes it, the model keeps it, ``model.json`` stores it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import asdict, astuple, dataclass, field
+import sys
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
@@ -28,10 +31,6 @@ logger = logging.getLogger(__name__)
 
 UNASSIGNED = "unassigned"
 
-DEFAULT_ALPHA = 0.01
-DEFAULT_BETA = 0.0001
-DEFAULT_MU = 0.5
-DEFAULT_ITERATIONS = 2000
 DEFAULT_UNSEEDED = 2
 MAX_TOPICS = 1000  # far above any taxonomy; checked before a V x K table is built
 
@@ -39,6 +38,35 @@ _FORMAT = "tagtopics-lda"
 _FORMAT_VERSION = 2  # version 1, which also stored the count tables, is not read
 _SEPARATORS = (",", ":")
 _SAVE_ITEMS = 8192  # JSON values (strings, ids, id lists) per piece save_model writes
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    """A training's settings, in ``model.json``'s key order. The priors alpha,
+    beta (> 0) and mu (>= 0) are finite ints or floats, no bool, kept as
+    floats; iterations and rng_seed are ints >= 0. Else TypeError or ValueError."""
+
+    alpha: float = 0.01
+    beta: float = 0.0001
+    mu: float = 0.5
+    iterations: int = 2000
+    rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value, prior = getattr(self, f.name), f.type == "float"
+            if type(value) is not int and not (prior and type(value) is float):
+                raise TypeError(f"{f.name} has the wrong type")
+            if prior:
+                if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+                    raise ValueError(f"{f.name} must be finite")
+                object.__setattr__(self, f.name, float(value))
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("mu", "iterations", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,8 @@ class SeedSpec:
         for name, words in self.seeded:
             if not words:
                 raise ValueError(f"seed set for {name!r} is empty")
+        if type(self.unseeded) is not int:  # so True and 1.0 are no count
+            raise TypeError("unseeded topic count must be an int")
         if self.unseeded < 0:
             raise ValueError("unseeded topic count must be non-negative")
         if not 0 < len(self.seeded) + self.unseeded <= MAX_TOPICS:
@@ -90,11 +120,7 @@ class SeededLdaModel:
     dropped_doc_ids: tuple[str, ...]
     categories: tuple[str, ...]  # seeded topic index -> category name
     num_unseeded: int
-    alpha: float
-    beta: float
-    mu: float
-    iterations: int
-    rng_seed: int
+    settings: TrainSettings
     seed_word_ids: tuple[tuple[int, ...], ...]  # per seeded topic, sorted
     word_of: np.ndarray  # (N,) int32, word id of each token
     z: np.ndarray  # (N,) int32, topic of each token; the sampler writes it
@@ -107,12 +133,8 @@ class SeededLdaModel:
     def __post_init__(self) -> None:
         """Check the model's facts and count its tables from them; raises
         ValueError naming the first malformed fact."""
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError("alpha and beta must be positive and finite")
-        if not 0 <= self.mu < math.inf:
-            raise ValueError("mu must be non-negative and finite")
-        if min(self.iterations, self.num_unseeded, self.rng_seed) < 0:
-            raise ValueError("iterations, num_unseeded and rng_seed must be non-negative")
+        if self.num_unseeded < 0:
+            raise ValueError("num_unseeded must be non-negative")
         if self.num_topics > MAX_TOPICS:
             raise ValueError(f"num_unseeded gives {self.num_topics} topics, over {MAX_TOPICS}")
         for name in ("vocabulary", "doc_ids", "categories"):
@@ -175,32 +197,24 @@ class SeededLdaModel:
         """The sampler's inputs over this model's arrays, with alpha and the
         priors: B[w, t] = beta + mu if w seeds topic t else beta; Bsum[t] =
         V * beta + mu * |in-vocabulary seeds of t|."""
-        v, k = self.vocab_size, self.num_topics
-        prior = np.full((v, k), self.beta, dtype=np.float64)
-        total = np.full(k, v * self.beta, dtype=np.float64)
+        v, k, s = self.vocab_size, self.num_topics, self.settings
+        prior = np.full((v, k), s.beta, dtype=np.float64)
+        total = np.full(k, v * s.beta, dtype=np.float64)
         for t, ids in enumerate(self.seed_word_ids):
             for w in ids:
-                prior[w, t] += self.mu
-            total[t] += self.mu * len(ids)
+                prior[w, t] += s.mu
+            total[t] += s.mu * len(ids)
         return SweepState(self.z, self.offsets, self.word_of, self.n_dt, self.n_tw,
-                          self.n_t, prior, total, self.alpha)
+                          self.n_t, prior, total, s.alpha)
 
 
-def train(
-    docs: Sequence[TokenizedDoc],
-    seeds: SeedSpec,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    mu: float = DEFAULT_MU,
-    iterations: int = DEFAULT_ITERATIONS,
-    rng_seed: int = 0,
-) -> SeededLdaModel:
-    """Run collapsed Gibbs sampling and return the trained model.
+def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
+          settings: TrainSettings = TrainSettings()) -> SeededLdaModel:
+    """Run collapsed Gibbs sampling with `settings`; return the trained model.
 
     Empty documents are dropped (and recorded on the model); seed words
-    missing from the corpus vocabulary are warned about and ignored. Bad
-    hyperparameters raise ValueError. The count tables are verified against
-    the assignments after the final sweep.
+    missing from the corpus vocabulary are warned about and ignored. The
+    count tables are verified against the assignments after the final sweep.
     """
     kept = [d for d in docs if d.tokens]
     dropped = tuple(d.tweet_id for d in docs if not d.tokens)
@@ -236,7 +250,7 @@ def train(
         mine = [t for t, ids in enumerate(seed_word_ids) if w in ids]
         owners[w, :len(mine)], n_choices[w] = mine, len(mine)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(settings.rng_seed)
     # one uniform draw per token, in document order
     z = owners[word_of, rng.integers(n_choices[word_of])]
 
@@ -246,20 +260,16 @@ def train(
         dropped_doc_ids=dropped,
         categories=categories,
         num_unseeded=seeds.unseeded,
-        alpha=alpha,
-        beta=beta,
-        mu=mu,
-        iterations=iterations,
-        rng_seed=rng_seed,
+        settings=settings,
         seed_word_ids=tuple(seed_word_ids),
         word_of=word_of,
         z=z,
         offsets=np.cumsum([0, *lengths], dtype=np.int64),
     )
 
-    if iterations > 0:
+    if settings.iterations > 0:
         with open_sampler(model.sweep_state()) as sampler:
-            for _ in range(iterations):
+            for _ in range(settings.iterations):
                 run_sweep(sampler, rng)
 
     model.check_counts()
@@ -270,8 +280,8 @@ def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
     """theta for one document: (n_dt + alpha) / (len + K * alpha)."""
     if not 0 <= doc < len(model.doc_ids):
         raise IndexError(f"document index {doc} out of range")
-    row = model.n_dt[doc]
-    return (row + model.alpha) / (row.sum() + model.num_topics * model.alpha)
+    row, alpha = model.n_dt[doc], model.settings.alpha
+    return (row + alpha) / (row.sum() + model.num_topics * alpha)
 
 
 def classify_all(model: SeededLdaModel, rng: np.random.Generator) -> dict[str, str]:
@@ -398,8 +408,8 @@ def derive_gold(
 
 
 def save_model(model: SeededLdaModel, path) -> None:
-    """Write the model as deterministic JSON (format version 2):
-    hyperparameters, vocabulary, seed ids, document ids, and word_of and z
+    """Write the model as deterministic JSON (format version 2): settings,
+    categories, vocabulary, seed ids, document ids, and word_of and z
     cut at the offsets into per-document lists (`doc_words`, `assignments`);
     no count table, as :func:`load_model` counts them. The bytes are one
     compact ``json.dumps`` of the whole payload plus a newline, but every
@@ -409,11 +419,7 @@ def save_model(model: SeededLdaModel, path) -> None:
     head = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "mu": model.mu,
-        "iterations": model.iterations,
-        "rng_seed": model.rng_seed,
+        **asdict(model.settings),
         "categories": list(model.categories),
         "num_unseeded": model.num_unseeded,
     }
@@ -465,10 +471,10 @@ def _id_lists(payload: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
 
 def load_model(path) -> SeededLdaModel:
     """Read a model written by :func:`save_model`. Every field is
-    type-checked, and doc_words and assignments must agree in length document
-    by document; the model then checks its ids and hyperparameters as it does
-    for :func:`train` and counts its tables from them. The version must be
-    the JSON integer 2. Any malformed file or payload raises DataError."""
+    type-checked, the settings as :func:`train`'s are, and doc_words and
+    assignments must agree in length document by document; the model then
+    checks its ids and counts its tables from them. The version must be the
+    JSON integer 2. Any malformed file or payload raises DataError."""
     payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
@@ -476,18 +482,16 @@ def load_model(path) -> SeededLdaModel:
     if type(version) is not int or version != _FORMAT_VERSION:  # so 2.0 and true are not 2
         raise DataError(f"{path}: unsupported model version {version!r}")
     try:
-        fields = {key: tuple(_field(payload, key, (list,), str))
-                  for key in ("vocabulary", "doc_ids", "dropped_doc_ids", "categories")}
-        fields.update((key, _field(payload, key, (int,)))
-                      for key in ("num_unseeded", "iterations", "rng_seed"))
-        fields.update((key, float(_field(payload, key, (int, float))))
-                      for key in ("alpha", "beta", "mu"))
-        fields["seed_word_ids"] = tuple(map(tuple, _field(payload, "seed_word_ids", (list,), list)))
+        facts = {key: tuple(_field(payload, key, (list,), str))
+                 for key in ("vocabulary", "doc_ids", "dropped_doc_ids", "categories")}
+        facts["num_unseeded"] = _field(payload, "num_unseeded", (int,))
+        facts["settings"] = TrainSettings(**{f.name: payload[f.name] for f in fields(TrainSettings)})
+        facts["seed_word_ids"] = tuple(map(tuple, _field(payload, "seed_word_ids", (list,), list)))
         word_of, offsets = _id_lists(payload, "doc_words")
         z, z_offsets = _id_lists(payload, "assignments")
         if not np.array_equal(z_offsets, offsets):
             raise ValueError("doc_words and assignments disagree in length in a document")
-        return SeededLdaModel(**fields, word_of=word_of, z=z, offsets=offsets)
+        return SeededLdaModel(**facts, word_of=word_of, z=z, offsets=offsets)
     except KeyError as exc:
         raise DataError(f"{path}: model payload lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -6,17 +6,20 @@ These run the real implementations end to end at the stated tolerances; the
 unit suites cover the same code at finer grain.
 """
 
+import itertools
 import json
 import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from tagtopics import cli
+from tagtopics import _gibbs, cli
+from tagtopics._gibbs import run_sweep
 from tagtopics.lexstats import chi2_2x2
 from tagtopics.sentiment import SentimentLabel, category_distribution
 from tagtopics.syntax import (
@@ -29,7 +32,7 @@ from tagtopics.syntax import (
 )
 from tagtopics.corpus import load_taxonomy
 from tagtopics.textprep import TokenizedDoc, _echo_terms
-from tagtopics.topics import SeedSpec, classify_all, evaluate, train
+from tagtopics.topics import SeedSpec, TrainSettings, classify_all, evaluate, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,10 +84,10 @@ def test_criterion_01_seeded_recovery():
     ):
         docs, seeds, gold = planted_corpus()
         spec = SeedSpec.from_mapping(seeds, unseeded=2)
-        train(docs[:20], spec, iterations=2, rng_seed=0)  # warms the kernel build
+        train(docs[:20], spec, TrainSettings(iterations=2, rng_seed=0))  # warms the kernel build
 
         start = time.perf_counter()
-        model = train(docs, spec, iterations=2000, rng_seed=20260822)
+        model = train(docs, spec, TrainSettings(iterations=2000, rng_seed=20260822))
         elapsed = time.perf_counter() - start
 
         labels = classify_all(model, np.random.default_rng(1))
@@ -92,7 +95,7 @@ def test_criterion_01_seeded_recovery():
         assert report.accuracy >= 0.80, f"accuracy {report.accuracy:.4f}"
         assert elapsed <= 60.0, f"training took {elapsed:.1f} s"
 
-        rerun = train(docs, spec, iterations=2000, rng_seed=20260822)
+        rerun = train(docs, spec, TrainSettings(iterations=2000, rng_seed=20260822))
         np.testing.assert_array_equal(model.n_dt, rerun.n_dt)
         np.testing.assert_array_equal(model.n_tw, rerun.n_tw)
         np.testing.assert_array_equal(model.n_t, rerun.n_t)
@@ -110,11 +113,21 @@ def topic_weights(nd, nw, nt, alpha, word_prior, prior_total):
     return (nd + alpha) * (nw + word_prior) / (nt + prior_total)
 
 
+class FixedDraws:
+    """A generator stand-in whose random(out=) fills in the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, *, out):
+        out[:] = self.draws
+
+
 def test_criterion_02_gibbs_conditionals():
     with criterion(
         2,
-        "Gibbs conditional weights match the collapsed formula to 1e-12 and "
-        "count invariants hold after every sweep",
+        "Gibbs conditional weights match the collapsed formula to 1e-12, "
+        "every kernel draws by it, and count invariants hold after every sweep",
     ):
         # worked two-topic example with the token already removed
         got = topic_weights(
@@ -138,10 +151,10 @@ def test_criterion_02_gibbs_conditionals():
         # ends where a longer run is after sweep n: any bookkeeping drift in
         # the first 10 sweeps raises inside train
         for sweeps in range(11):
-            model = train(docs, spec, iterations=sweeps, rng_seed=9)
+            model = train(docs, spec, TrainSettings(iterations=sweeps, rng_seed=9))
 
         state = model.sweep_state()
-        prior, prior_total = state.word_prior, state.prior_total
+        prior, prior_total, alpha = state.word_prior, state.prior_total, model.settings.alpha
         for d in (0, 17, 49):
             w = int(model.doc_words[d][0])
             t_cur = int(model.assignments[d][0])
@@ -151,15 +164,38 @@ def test_criterion_02_gibbs_conditionals():
             nd[t_cur] -= 1
             nw[t_cur] -= 1
             nt[t_cur] -= 1
-            weights = topic_weights(nd, nw, nt, model.alpha, prior[w], prior_total)
+            weights = topic_weights(nd, nw, nt, alpha, prior[w], prior_total)
             for t in range(model.num_topics):
                 want = (
-                    (nd[t] + model.alpha)
+                    (nd[t] + alpha)
                     * (nw[t] + prior[w][t])
                     / (nt[t] + prior_total[t])
                 )
                 assert abs(weights[t] - want) <= 1e-12
                 assert weights[t] > 0
+
+        # every kernel draws by the formula: the sweep's first token sees the
+        # counts above, less itself, and a draw at the middle of topic t's
+        # interval of the cumulative weights, or near either end of it, must
+        # send it to topic t
+        w, t_cur = int(model.word_of[0]), int(model.z[0])
+        counts = [table.astype(np.float64) for table in (model.n_dt[0], model.n_tw[w], model.n_t)]
+        for table in counts:
+            table[t_cur] -= 1
+        weights = topic_weights(*counts, alpha, prior[w], prior_total)
+        ends = np.cumsum(weights)
+        for name, factory in _gibbs.backends().items():
+            for t, share in itertools.product(range(model.num_topics), (0.5, 0.001, 0.999)):
+                u = (ends[t] - (1 - share) * weights[t]) / ends[-1]
+                # copies of the arrays the sampler writes, so each sweep
+                # starts from the trained model
+                own = replace(state, **{f: getattr(state, f).copy()
+                                        for f in ("z", "n_dt", "n_tw", "n_t")})
+                draws = np.full(len(own.z), 0.5)
+                draws[0] = u
+                with factory(own) as sampler:
+                    run_sweep(sampler, FixedDraws(draws))
+                assert own.z[0] == t, f"{name} kernel sent a draw of {u} to {own.z[0]}, not {t}"
 
 
 # ---------------------------------------------------------------------------

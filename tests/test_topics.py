@@ -10,12 +10,12 @@ import re
 import shutil
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagtopics import _gibbs, topics as topics_mod
@@ -27,6 +27,7 @@ from tagtopics.topics import (
     UNASSIGNED,
     SeededLdaModel,
     SeedSpec,
+    TrainSettings,
     classify_all,
     derive_gold,
     doc_topic_distribution,
@@ -70,6 +71,12 @@ class TestSeedSpec:
     def test_zero_topics_rejected(self):
         with pytest.raises(ValueError):
             SeedSpec(seeded=(), unseeded=0)
+
+    @pytest.mark.parametrize("unseeded", [True, 1.0])
+    def test_unseeded_must_be_an_int(self, unseeded):
+        # True used to train a model load_model rejects; 1.0 failed in numpy
+        with pytest.raises(TypeError, match="unseeded topic count must be an int"):
+            SeedSpec.from_mapping({"A": ["x"]}, unseeded=unseeded)
 
     def test_unseeded_only_allowed(self):
         assert SeedSpec(seeded=(), unseeded=3).unseeded == 3
@@ -139,20 +146,21 @@ class TestTopicWeights:
 class TestWordPrior:
     def test_shapes_and_values(self):
         spec = SeedSpec.from_mapping({"A": ["a"], "B": ["b", "zz"]}, unseeded=1)
-        model = train([doc(1, "a", "b", "c")], spec, iterations=0, rng_seed=0)
+        model = train([doc(1, "a", "b", "c")], spec, TrainSettings(iterations=0, rng_seed=0))
         state = model.sweep_state()
         prior, total = state.word_prior, state.prior_total
         v, k = len(model.vocabulary), 3
         assert prior.shape == (v, k) and total.shape == (k,)
         a = model.vocabulary.index("a")
         c = model.vocabulary.index("c")
-        assert prior[a, 0] == pytest.approx(model.beta + model.mu)
-        assert prior[a, 1] == model.beta
-        assert prior[c, 2] == model.beta
+        beta, mu = model.settings.beta, model.settings.mu
+        assert prior[a, 0] == pytest.approx(beta + mu)
+        assert prior[a, 1] == beta
+        assert prior[c, 2] == beta
         # "zz" never entered the vocabulary, so topic B counts one seed
-        assert total[0] == pytest.approx(v * model.beta + model.mu)
-        assert total[1] == pytest.approx(v * model.beta + model.mu)
-        assert total[2] == pytest.approx(v * model.beta)
+        assert total[0] == pytest.approx(v * beta + mu)
+        assert total[1] == pytest.approx(v * beta + mu)
+        assert total[2] == pytest.approx(v * beta)
 
 
 def token_docs(offsets):
@@ -621,7 +629,7 @@ class TestKernel:
     def test_fallback_when_build_fails(self, monkeypatch, caplog):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
-        default = train(docs, spec, iterations=30, rng_seed=5)
+        default = train(docs, spec, TrainSettings(iterations=30, rng_seed=5))
 
         def no_compiler():
             raise OSError("no C compiler (cc or gcc) on PATH")
@@ -630,7 +638,7 @@ class TestKernel:
         _gibbs._compiled_kernel.cache_clear()
         try:
             with caplog.at_level("WARNING", logger="tagtopics._gibbs"):
-                fallback = train(docs, spec, iterations=30, rng_seed=5)
+                fallback = train(docs, spec, TrainSettings(iterations=30, rng_seed=5))
             assert list(_gibbs.backends()) == ["python"]
         finally:
             _gibbs._compiled_kernel.cache_clear()
@@ -672,8 +680,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
-        m1 = train(docs, spec, iterations=30, rng_seed=5)
-        m2 = train(docs, spec, iterations=30, rng_seed=5)
+        m1 = train(docs, spec, TrainSettings(iterations=30, rng_seed=5))
+        m2 = train(docs, spec, TrainSettings(iterations=30, rng_seed=5))
         np.testing.assert_array_equal(m1.n_dt, m2.n_dt)
         np.testing.assert_array_equal(m1.n_tw, m2.n_tw)
         np.testing.assert_array_equal(m1.n_t, m2.n_t)
@@ -686,8 +694,8 @@ class TestTrain:
     def test_different_seed_differs(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
-        m1 = train(docs, spec, iterations=5, rng_seed=5)
-        m2 = train(docs, spec, iterations=5, rng_seed=6)
+        m1 = train(docs, spec, TrainSettings(iterations=5, rng_seed=5))
+        m2 = train(docs, spec, TrainSettings(iterations=5, rng_seed=6))
         assert not np.array_equal(m1.z, m2.z)
 
     def test_one_run_sweep_call_per_sweep(self, monkeypatch):
@@ -703,14 +711,14 @@ class TestTrain:
         monkeypatch.setattr(topics_mod, "run_sweep", counting)
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
-        train(docs, spec, iterations=7, rng_seed=5)
+        train(docs, spec, TrainSettings(iterations=7, rng_seed=5))
         assert calls == [sum(len(d.tokens) for d in docs)] * 7
 
     def test_invariants_hold_and_checked(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"]}, unseeded=2)
         for sweeps in range(11):  # train checks its counts after the last sweep
-            model = train(docs, spec, iterations=sweeps, rng_seed=3)
+            model = train(docs, spec, TrainSettings(iterations=sweeps, rng_seed=3))
         model.check_counts()
         total_tokens = len(model.word_of)
         assert int(model.n_t.sum()) == total_tokens
@@ -723,24 +731,25 @@ class TestTrain:
 
         monkeypatch.setattr(topics_mod, "open_sampler", no_sampler)
         docs = small_corpus()
-        model = train(docs, SeedSpec(seeded=(), unseeded=3), iterations=0, rng_seed=5)
+        model = train(docs, SeedSpec(seeded=(), unseeded=3),
+                      TrainSettings(iterations=0, rng_seed=5))
         # with no seed words every token draws its first topic from all three
         tokens = sum(len(d.tokens) for d in docs)
         initial = np.random.default_rng(5).integers(np.full(tokens, 3))
         np.testing.assert_array_equal(model.z, initial)
-        assert model.iterations == 0
+        assert model.settings.iterations == 0
 
     def test_vocabulary_first_appearance_order(self):
         model = train(
             [doc(1, "pear", "apple"), doc(2, "apple", "kiwi")],
             SeedSpec(seeded=(), unseeded=2),
-            iterations=0,
+            TrainSettings(iterations=0),
         )
         assert model.vocabulary == ("pear", "apple", "kiwi")
 
     def test_sole_owner_seed_init(self):
         spec = SeedSpec.from_mapping({"A": ["aa"], "B": ["bb"]}, unseeded=0)
-        model = train([doc(1, "aa", "aa", "bb")], spec, iterations=0, rng_seed=0)
+        model = train([doc(1, "aa", "aa", "bb")], spec, TrainSettings(iterations=0, rng_seed=0))
         np.testing.assert_array_equal(model.assignments[0], [0, 0, 1])
         np.testing.assert_array_equal(model.n_dt[0], [2, 1])
 
@@ -751,7 +760,7 @@ class TestTrain:
             {"A": ["apple", "banana"], "B": ["banana"], "C": ["xray"]}, unseeded=2
         )
         docs = small_corpus()
-        model = train(docs, spec, iterations=0, rng_seed=7)
+        model = train(docs, spec, TrainSettings(iterations=0, rng_seed=7))
         owners = {w: [t for t, (_, seeds) in enumerate(spec.seeded) if w in seeds] or
                   list(range(model.num_topics)) for d in docs for w in d.tokens}
         rng = np.random.default_rng(7)
@@ -762,14 +771,14 @@ class TestTrain:
         spec = SeedSpec.from_mapping({"A": ["aa"], "B": ["aa"]}, unseeded=0)
         model = train(
             [doc(i, *(["aa"] * 10)) for i in range(10)], spec,
-            iterations=0, rng_seed=0,
+            TrainSettings(iterations=0, rng_seed=0),
         )
         assert set(model.z.tolist()) == {0, 1}  # both owners drawn, nothing else
 
     def test_empty_docs_dropped_with_warning(self, caplog):
         docs = [doc(1, "a"), TokenizedDoc("empty1", ()), doc(2, "b")]
         with caplog.at_level("WARNING", logger="tagtopics.topics"):
-            model = train(docs, SeedSpec(seeded=(), unseeded=2), iterations=1)
+            model = train(docs, SeedSpec(seeded=(), unseeded=2), TrainSettings(iterations=1))
         assert model.doc_ids == ("d1", "d2")
         assert model.dropped_doc_ids == ("empty1",)
         assert any("empty" in r.message for r in caplog.records)
@@ -781,16 +790,34 @@ class TestTrain:
     def test_missing_seed_words_warned(self, caplog):
         spec = SeedSpec.from_mapping({"A": ["ghost", "apple"]}, unseeded=1)
         with caplog.at_level("WARNING", logger="tagtopics.topics"):
-            model = train([doc(1, "apple")], spec, iterations=1)
+            model = train([doc(1, "apple")], spec, TrainSettings(iterations=1))
         assert any("ghost" in r.message for r in caplog.records)
         assert model.seed_word_ids == ((0,),)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"alpha": 0.0}, {"beta": 0.0}, {"mu": -0.1}, {"iterations": -1}]
-    )
+    # a bool is no number and a float no count: train used to write such
+    # settings to model files that load_model rejects, or fail mid-setup
+    WRONG_TYPES = [{"alpha": True}, {"mu": False}, {"iterations": True}, {"rng_seed": True},
+                   {"iterations": 2.5}, {"rng_seed": 1.5}, {"beta": "0.1"}, {"mu": None}]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": 0.0}, {"beta": 0.0}, {"mu": -0.1}, {"iterations": -1},
+        {"rng_seed": -1}, {"alpha": -1}, {"beta": math.inf}, {"mu": math.nan},
+        {"alpha": 10 ** 400}, *WRONG_TYPES,
+    ])
     def test_bad_hyperparameters(self, kwargs):
-        with pytest.raises(ValueError):
-            train([doc(1, "a")], SeedSpec(seeded=(), unseeded=2), **kwargs)
+        # the record is the one check: it raises, naming the setting, before
+        # train is called and so before any draw
+        error = TypeError if kwargs in self.WRONG_TYPES else ValueError
+        with pytest.raises(error, match=f"^{next(iter(kwargs))} "):
+            TrainSettings(**kwargs)
+
+    def test_settings_record(self):
+        # the defaults in model.json's key order, and int priors kept as floats
+        assert astuple(TrainSettings()) == (0.01, 0.0001, 0.5, 2000, 0)
+        settings = TrainSettings(alpha=1, beta=2, mu=0, iterations=3, rng_seed=2 ** 70)
+        assert [type(v) for v in astuple(settings)] == [float, float, float, int, int]
+        assert astuple(settings) == (1.0, 2.0, 0.0, 3, 2 ** 70)
+        assert train([doc(1, "a")], SeedSpec(seeded=(), unseeded=2), settings).settings is settings
 
     def test_disjoint_vocabularies_separate(self):
         rng = np.random.default_rng(11)
@@ -800,7 +827,7 @@ class TestTrain:
             tokens = [vocab[j] for j in rng.integers(0, 2, size=10)]
             docs.append(TokenizedDoc(f"d{i:03d}", tuple(tokens)))
         spec = SeedSpec.from_mapping({"A": ["aa"], "C": ["ca"]}, unseeded=0)
-        model = train(docs, spec, iterations=200, rng_seed=1)
+        model = train(docs, spec, TrainSettings(iterations=200, rng_seed=1))
         labels = classify_all(model, np.random.default_rng(2))
         expected = {d.tweet_id: ("A" if i % 2 == 0 else "C")
                     for i, d in enumerate(docs)}
@@ -812,7 +839,7 @@ class TestDocTopicDistribution:
     def test_concentrated_document(self):
         # five tokens all on the seeded topic of a two-topic model
         spec = SeedSpec.from_mapping({"A": ["aa"]}, unseeded=1)
-        model = train([doc(1, *(["aa"] * 5))], spec, iterations=0, rng_seed=0)
+        model = train([doc(1, *(["aa"] * 5))], spec, TrainSettings(iterations=0, rng_seed=0))
         theta = doc_topic_distribution(model, 0)
         assert abs(theta[0] - 5.01 / 5.02) <= 1e-12
         assert abs(theta[1] - 0.01 / 5.02) <= 1e-12
@@ -820,12 +847,12 @@ class TestDocTopicDistribution:
     def test_sums_to_one(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"]}, unseeded=2)
-        model = train(docs, spec, iterations=5, rng_seed=4)
+        model = train(docs, spec, TrainSettings(iterations=5, rng_seed=4))
         for d in range(len(model.doc_ids)):
             assert abs(doc_topic_distribution(model, d).sum() - 1.0) <= 1e-12
 
     def test_out_of_range(self):
-        model = train([doc(1, "a")], SeedSpec(seeded=(), unseeded=2), iterations=0)
+        model = train([doc(1, "a")], SeedSpec(seeded=(), unseeded=2), TrainSettings(iterations=0))
         with pytest.raises(IndexError):
             doc_topic_distribution(model, 1)
         with pytest.raises(IndexError):
@@ -836,8 +863,8 @@ class TestTokenArrays:
     # three documents of 2, 0 and 3 tokens
     FIELDS = dict(
         vocabulary=("a", "b"), doc_ids=("d0", "d1", "d2"), dropped_doc_ids=(),
-        categories=("A",), num_unseeded=1, alpha=0.01, beta=0.0001, mu=0.5,
-        iterations=0, rng_seed=0, seed_word_ids=((0,),),
+        categories=("A",), num_unseeded=1, settings=TrainSettings(iterations=0),
+        seed_word_ids=((0,),),
         word_of=np.array([0, 1, 1, 0, 1], dtype=np.int32),
         z=np.array([0, 1, 0, 0, 1], dtype=np.int32),
         offsets=np.array([0, 2, 2, 5], dtype=np.int64),
@@ -868,10 +895,38 @@ class TestTokenArrays:
         ({"num_unseeded": MAX_TOPICS}, f"{MAX_TOPICS + 1} topics, over {MAX_TOPICS}"),
         # rejected before a count table of 10**12 columns is allocated
         ({"num_unseeded": 10 ** 12}, "topics, over"),
+        ({"num_unseeded": -1}, "num_unseeded must be non-negative"),
     ])
     def test_out_of_range_fields_rejected(self, change, message):
+        # a training setting, such as rng_seed, goes to the model's settings
+        # record, which checks it as it is built
+        names = {f.name for f in fields(TrainSettings)}
+        facts = {key: value for key, value in change.items() if key not in names}
         with pytest.raises(ValueError, match=message):
-            SeededLdaModel(**{**self.FIELDS, **change})
+            record = TrainSettings(**{k: v for k, v in change.items() if k in names})
+            SeededLdaModel(**{**self.FIELDS, **facts, "settings": record})
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.integers(1, 10 ** 6) | st.floats(min_value=5e-324, max_value=1e308),
+           beta=st.integers(1, 10 ** 6) | st.floats(min_value=5e-324, max_value=1e308),
+           mu=st.integers(0, 10 ** 6) | st.floats(min_value=0.0, max_value=1e308),
+           iterations=st.integers(min_value=0), rng_seed=st.integers(min_value=0))
+    @example(alpha=1, beta=1, mu=0, iterations=0, rng_seed=0)  # saved "alpha":1 before
+    def test_every_accepted_setting_round_trips(self, tmp_path_factory, alpha, beta, mu,
+                                                iterations, rng_seed):
+        # save -> load -> save writes the same bytes for any record the
+        # settings accept, int-valued priors included
+        record = TrainSettings(alpha, beta, mu, iterations, rng_seed)
+        model = SeededLdaModel(**{**self.FIELDS, "settings": record})
+        first = tmp_path_factory.mktemp("settings") / "first.json"
+        second = first.with_name("second.json")
+        save_model(model, first)
+        payload = json.loads(first.read_text(encoding="utf-8"))
+        assert [type(payload[key]) for key in ("alpha", "beta", "mu")] == [float] * 3
+        loaded = load_model(first)
+        assert loaded.settings == record
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def make_model(n_dt_rows, categories, num_unseeded):
@@ -887,11 +942,7 @@ def make_model(n_dt_rows, categories, num_unseeded):
         dropped_doc_ids=(),
         categories=tuple(categories),
         num_unseeded=num_unseeded,
-        alpha=0.01,
-        beta=0.0001,
-        mu=0.5,
-        iterations=0,
-        rng_seed=0,
+        settings=TrainSettings(iterations=0),
         seed_word_ids=tuple(() for _ in categories),
         word_of=np.zeros(len(z), dtype=np.int32),
         z=z,
@@ -1082,7 +1133,7 @@ class TestDeriveGold:
 class TestSaveLoad:
     def trained(self):
         spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
-        return train(small_corpus(), spec, iterations=10, rng_seed=8)
+        return train(small_corpus(), spec, TrainSettings(iterations=10, rng_seed=8))
 
     def test_round_trip(self, tmp_path):
         model = self.trained()
@@ -1093,9 +1144,7 @@ class TestSaveLoad:
         assert loaded.doc_ids == model.doc_ids
         assert loaded.categories == model.categories
         assert loaded.seed_word_ids == model.seed_word_ids
-        assert (loaded.alpha, loaded.beta, loaded.mu) == (
-            model.alpha, model.beta, model.mu
-        )
+        assert loaded.settings == model.settings
         np.testing.assert_array_equal(loaded.n_dt, model.n_dt)
         np.testing.assert_array_equal(loaded.n_tw, model.n_tw)
         np.testing.assert_array_equal(loaded.n_t, model.n_t)
@@ -1127,8 +1176,8 @@ class TestSaveLoad:
         model = SeededLdaModel(
             vocabulary=tuple(f"w{i}" for i in range(50)),
             doc_ids=tuple(f"d{i}" for i in range(docs)), dropped_doc_ids=(),
-            categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
-            iterations=0, rng_seed=0, seed_word_ids=((0,),),
+            categories=("A",), num_unseeded=2, settings=TrainSettings(iterations=0),
+            seed_word_ids=((0,),),
             word_of=ids, z=ids % 3, offsets=np.arange(docs + 1) * length,
         )
         path = tmp_path / "big.json"
@@ -1149,8 +1198,8 @@ class TestSaveLoad:
         model = SeededLdaModel(
             vocabulary=tuple(f"w{i}" for i in range(50)),
             doc_ids=tuple(f"doc{i:06d}" for i in range(docs)), dropped_doc_ids=(),
-            categories=("A",), num_unseeded=2, alpha=0.01, beta=0.0001, mu=0.5,
-            iterations=0, rng_seed=0, seed_word_ids=((0,),),
+            categories=("A",), num_unseeded=2, settings=TrainSettings(iterations=0),
+            seed_word_ids=((0,),),
             word_of=ids, z=ids % 3, offsets=np.arange(docs + 1) * 2,
         )
         path = tmp_path / "many.json"
@@ -1199,8 +1248,9 @@ def one_shot_text(model):
     """What save_model must write: one compact json.dumps of the payload."""
     payload = {
         "format": "tagtopics-lda", "version": 2,
-        "alpha": model.alpha, "beta": model.beta, "mu": model.mu,
-        "iterations": model.iterations, "rng_seed": model.rng_seed,
+        "alpha": model.settings.alpha, "beta": model.settings.beta,
+        "mu": model.settings.mu, "iterations": model.settings.iterations,
+        "rng_seed": model.settings.rng_seed,
         "categories": list(model.categories), "num_unseeded": model.num_unseeded,
         "vocabulary": list(model.vocabulary),
         "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
@@ -1322,7 +1372,7 @@ CORRUPTIONS = {
 def payload_text(tmp_path_factory):
     spec = SeedSpec.from_mapping({"A": ["apple"], "B": ["xray"]}, unseeded=1)
     path = tmp_path_factory.mktemp("model") / "m.json"
-    save_model(train(small_corpus(), spec, iterations=5, rng_seed=8), path)
+    save_model(train(small_corpus(), spec, TrainSettings(iterations=5, rng_seed=8)), path)
     return path.read_text(encoding="utf-8")
 
 
