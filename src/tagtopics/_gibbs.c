@@ -8,10 +8,11 @@
  * it and this kernel hold; the kernel writes z only with topics in [0, k),
  * so every index it follows stays in range and no sweep checks them again.
  *
- * After n_docs and k come the fields of _gibbs.SweepState, in order, then
- * the sampler's own arrays: the float64 factor table of each count table,
- * f_dt = n_dt + alpha, f_tw = n_tw + word_prior and f_t = n_t + prior_total,
- * each entry the double its count gives, then `weights` and the draws `u`.
+ * After n_docs and k come the fields of _gibbs.SweepState in order, then
+ * the sampler's own arrays: its count tables n_dt, n_tw and n_t, their
+ * float64 factor tables f_dt = n_dt + alpha, f_tw = n_tw + word_prior and
+ * f_t = n_t + prior_total, each entry the double its count gives, then
+ * `weights` and the draws `u`.
  * A topic other than the token's old topic weighs f_dt * f_tw / f_t; the
  * old topic's weight lowers its three counts inline, so the token is never
  * removed and re-added. The running sum of the weights goes into `weights`,
@@ -40,9 +41,9 @@ static void count(int64_t t, int64_t step, int64_t *row_d, double *fd,
 
 int tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
                     const int64_t *offsets, const int32_t *word_of,
-                    int64_t *n_dt, int64_t *n_tw, int64_t *n_t,
                     const double *word_prior, const double *prior_total,
-                    double alpha, double *f_dt, double *f_tw, double *f_t,
+                    double alpha, int64_t *n_dt, int64_t *n_tw, int64_t *n_t,
+                    double *f_dt, double *f_tw, double *f_t,
                     double *weights, const double *u)
 {
     for (int64_t d = 0; d < n_docs; d++) {

@@ -18,8 +18,8 @@ deterministic given the generator each sweep draws its uniforms from.
 
 A training sweeps through one sampler over its :class:`SweepState`:
 
-    with open_sampler(SweepState(z, offsets, word_of, n_dt, n_tw, n_t,
-                                 word_prior, prior_total, alpha)) as sampler:
+    with open_sampler(SweepState(z, offsets, word_of, word_prior,
+                                 prior_total, alpha)) as sampler:
         for _ in range(sweeps):
             run_sweep(sampler, rng)
 
@@ -28,15 +28,15 @@ Each backend is one factory, :func:`_compiled_sampler` or
 :func:`backends` lists the factories that run here, the compiled one first,
 and is the only code that picks one; :func:`open_sampler` opens its first.
 
-The state is checked and converted once, when the sampler opens, against
-the token layout :func:`check_tokens` states for the model too. Until it
-closes, the sampler owns the arrays and its draws, one float64 per token
-refilled from the generator each sweep. The pure-Python backend copies
-every array to lists; the C kernel copies z, offsets and word_of, so the
-indices it follows stay as checked whatever the caller writes, and updates
-the count tables, whose values are never indices, in place. Closing, also
-when a sweep raised, drops the sweep with every table, copy and pointer it
-holds, and the draws, then writes each copy back.
+The state is checked once, when the sampler opens, against the token
+layout :func:`check_tokens` states for the model too. The sampler copies z,
+offsets and word_of, so the indices it follows stay as checked whatever the
+caller writes, and counts its own n_dt, n_tw and n_t from the copies with
+:func:`count_tables`; no caller passes or receives a count table. Until it
+closes, it owns z, these tables and its draws, one float64 per token
+refilled from the generator each sweep. Closing, also when a sweep raised,
+drops the sweep with every table, copy and pointer it holds, and the draws,
+then writes z back; if no sweep raised, it then checks its tables.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import subprocess
 import sysconfig
 import tempfile
 from dataclasses import Field, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -62,7 +63,8 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 # no FMA contraction: a fused multiply-add rounds differently from the
 # pure-Python kernel and would break bit-identity between backends
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_OWN_ARRAYS = ("f_dt", "f_tw", "f_t", "weights", "u")  # the kernel's, after the state's
+# the sampler's own arrays, after the state's fields in the kernel's parameters
+_OWN_ARRAYS = ("n_dt", "n_tw", "n_t", "f_dt", "f_tw", "f_t", "weights", "u")
 
 
 def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
@@ -71,7 +73,8 @@ def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
     a decrease, word ids lie in [0, v) and topic ids in [0, k). Raises
     ValueError if one does not hold."""
     n = len(z)
-    if len(word_of) != n or offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
+    if (len(word_of) != n or not len(offsets) or offsets[0] != 0 or offsets[-1] != n
+            or (np.diff(offsets) < 0).any()):
         raise ValueError("offsets, word_of and z disagree in length: offsets must "
                          f"rise from 0 to {n} tokens without a decrease")
     # plain lists accept negative indices and bincount counts any id
@@ -81,24 +84,34 @@ def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
             raise ValueError(f"{name} id outside [0, {bound})")
 
 
-def _array(dtype, dims: tuple[str, ...], written: bool = False):
-    """A :class:`SweepState` array field: dtype, dimension names, whether the sampler writes it."""
-    return field(metadata={"dtype": np.dtype(dtype), "dims": dims, "written": written})
+def count_tables(offsets, word_of, z, v: int, k: int):
+    """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, of the tokens offsets
+    cut into D documents, yielded in turn, so a caller that needs only n_dt
+    builds no other table: the only code that counts. Raises ValueError if
+    :func:`check_tokens` rejects the layout, which bincount would miscount."""
+    check_tokens(offsets, word_of, z, v, k)
+    d = len(offsets) - 1
+    docs = np.repeat(np.arange(d, dtype=np.int64), np.diff(offsets))
+    yield np.bincount(docs * k + z, minlength=d * k).reshape(d, k)
+    yield np.bincount(word_of.astype(np.int64) * k + z, minlength=v * k).reshape(v, k)
+    yield np.bincount(z, minlength=k)
+
+
+def _array(dtype, dims: tuple[str, ...]):
+    """A :class:`SweepState` array field: its dtype and dimension names."""
+    return field(metadata={"dtype": np.dtype(dtype), "dims": dims})
 
 
 @dataclass(frozen=True, eq=False)
 class SweepState:
     """The inputs of one training's sweeps, in the C kernel's parameter
     order after n_docs and k: N tokens in D documents, document d tokens
-    offsets[d] up to offsets[d + 1] of z and word_of, V words, K topics,
-    their counts, and the priors B and Bsum and the alpha of :func:`run_sweep`."""
+    offsets[d] up to offsets[d + 1] of z and word_of, and over V words and
+    K topics the priors B and Bsum and the alpha of :func:`run_sweep`."""
 
-    z: np.ndarray = _array(np.int32, ("N",), written=True)
+    z: np.ndarray = _array(np.int32, ("N",))  # the one array the sampler writes
     offsets: np.ndarray = _array(np.int64, ("D+1",))
     word_of: np.ndarray = _array(np.int32, ("N",))
-    n_dt: np.ndarray = _array(np.int64, ("D", "K"), written=True)
-    n_tw: np.ndarray = _array(np.int64, ("V", "K"), written=True)
-    n_t: np.ndarray = _array(np.int64, ("K",), written=True)
     word_prior: np.ndarray = _array(np.float64, ("V", "K"))
     prior_total: np.ndarray = _array(np.float64, ("K",))
     alpha: float
@@ -108,12 +121,14 @@ class SweepState:
         return [(f, getattr(self, f.name)) for f in fields(self)]
 
 
-def _check_state(state: SweepState) -> None:
-    """Reject arrays the C kernel cannot read safely, as their fields declare
-    them: TypeError for another type or dtype, ValueError for other
-    dimensions, a layout other than C-contiguous, a read-only array the
-    sampler writes, a token layout :func:`check_tokens` rejects, or prior
-    totals on which the two backends would not agree."""
+def _own_state(state: SweepState) -> tuple[SweepState, tuple[np.ndarray, ...]]:
+    """Every factory's start: the state over the sampler's own copies of z,
+    offsets and word_of, and the count tables :func:`count_tables` counts
+    from them. Rejects arrays the C kernel cannot read safely, as their
+    fields declare them: TypeError for another type or dtype, ValueError for
+    other dimensions, a layout other than C-contiguous, a read-only z, prior
+    totals on which the two backends would not agree, or a token layout
+    :func:`check_tokens` rejects."""
     arrays = [(f.name, f.metadata, a) for f, a in state.items() if f.metadata]
     for name, meta, arr in arrays:
         if not isinstance(arr, np.ndarray) or arr.dtype != meta["dtype"]:
@@ -121,17 +136,19 @@ def _check_state(state: SweepState) -> None:
             raise TypeError(f"{name} must be a {meta['dtype']} array, got {got}")
         if arr.ndim != len(meta["dims"]) or not arr.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous {len(meta['dims'])}-d array")
-        if meta["written"] and not arr.flags.writeable:
-            raise ValueError(f"{name} must be writeable")
-    k, v, d = len(state.n_t), len(state.n_tw), len(state.n_dt)
-    size = {"N": len(state.z), "D": d, "D+1": d + 1, "V": v, "K": k}
+    if not state.z.flags.writeable:
+        raise ValueError("z must be writeable")
+    v, k = len(state.word_prior), len(state.prior_total)
+    size = {"N": len(state.z), "D+1": len(state.offsets), "V": v, "K": k}
     for name, meta, arr in arrays:
         if arr.shape != (shape := tuple(size[dim] for dim in meta["dims"])):
             raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    check_tokens(state.offsets, state.word_of, state.z, v, k)
     # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
     if not (state.prior_total > 0.0).all():
         raise ValueError("prior_total must be positive")
+    own = replace(state, z=state.z.copy(), offsets=state.offsets.copy(),
+                  word_of=state.word_of.copy())
+    return own, tuple(count_tables(own.offsets, own.word_of, own.z, v, k))
 
 
 def _sweep_source(k: int) -> str:
@@ -199,7 +216,7 @@ def _sweep_source(k: int) -> str:
         f"    {names('s')} = tot_f",
     ]
     return "\n".join([
-        "def sweep(zs, offsets, words, dt, tw, tot, prior, prior_sum, alpha,",
+        "def sweep(zs, offsets, words, prior, prior_sum, alpha, dt, tw, tot,",
         "          dt_f, tw_f, tot_f, draws):",
         f"    {names('p')} = prior_sum",
         f"    {names('s')} = tot_f",
@@ -221,52 +238,54 @@ def _unrolled_sweep(k: int) -> Callable[..., None]:
 
 
 class _Sampler:
-    """The one sampler class: a backend's sweep, the draws it reads, one
-    float64 per token, allocated here and refilled by :func:`run_sweep`, and
-    (caller's array, sampler's copy) pairs. A context manager whose exit is
-    the only close: it drops the sweep, with every table, copy and pointer
-    it holds, and the draws, then writes each copy back over its array."""
+    """The one sampler class: a backend's sweep, the draws it reads (one
+    float64 per token, refilled by :func:`run_sweep`), the caller's z, and
+    its own z, offsets, word_of, n_dt, n_tw and n_t, arrays or lists. A
+    context manager whose exit is the only close: it drops the sweep, with
+    every table, copy and pointer it holds, and the draws, writes z back and,
+    if no sweep raised (one that did may have left a token uncounted),
+    raises AssertionError naming a table its recount disagrees with."""
 
-    def __init__(self, sweep: Callable[[np.ndarray], None], tokens: int,
-                 copies: list[tuple[np.ndarray, object]]):
-        self._sweep = sweep
-        self._draws = np.empty(tokens)
-        self._tokens = tokens
-        self._copies = copies
+    def __init__(self, sweep: Callable[[np.ndarray], None], z: np.ndarray,
+                 ids: tuple, tables: tuple):
+        self._sweep, self._draws = sweep, np.empty(len(z))
+        self._z, self._ids, self._tables = z, ids, tables
 
     def __len__(self) -> int:
-        return self._tokens
+        return len(self._z)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        # the tables go before the write-back builds its temporary arrays
+    def __exit__(self, exc_type, *exc_info) -> None:
+        # the factor tables go with the sweep, before the write-back and
+        # the recount build their temporary arrays
         self._sweep = self._draws = None
-        for array, copy in self._copies:
-            array[:] = copy
-        self._copies = []
+        (z, offsets, word_of), tables = map(np.asarray, self._ids), self._tables
+        self._ids = self._tables = None
+        self._z[:] = z
+        if exc_type is None:
+            recount = count_tables(offsets, word_of, z, len(tables[1]), len(tables[2]))
+            for name, table, count in zip(("n_dt", "n_tw", "n_t"), tables, recount):
+                if not np.array_equal(table, count):
+                    raise AssertionError(f"{name} disagrees with the assignments")
 
 
-def _factor_tables(state: SweepState):
+def _factor_tables(state: SweepState, counts: tuple[np.ndarray, ...]):
     """The float64 factor each count enters the weights with: n_dt + alpha,
-    n_tw + word_prior and n_t + prior_total. Both backends start from these
-    tables and recompute an entry from its count whenever that count
-    changes, so every factor is the very double the formula in
-    :func:`run_sweep` gives; int + float in numpy is the same double as in
-    Python and in C. Yielded one at a time, so a caller that converts each
-    table frees it before the next is built."""
-    yield state.n_dt + float(state.alpha)
-    yield state.n_tw + state.word_prior
-    yield state.n_t + state.prior_total
+    n_tw + word_prior and n_t + prior_total. Both backends recompute an entry
+    whenever its count changes, so every factor is the very double the
+    formula in :func:`run_sweep` gives, as int + float is in numpy, Python
+    and C. Yielded one at a time, so a caller converting each frees it first."""
+    for count, prior in zip(counts, (float(state.alpha), state.word_prior, state.prior_total)):
+        yield count + prior
 
 
 def _python_sampler(state: SweepState) -> _Sampler:
-    """A sampler on the pure-Python backend, once :func:`_check_state`
-    accepts `state`. It copies each field, alpha as a float, and the factor
+    """A sampler on the pure-Python backend over :func:`_own_state`. It
+    copies each field, alpha as a float, the count tables and the factor
     tables of :func:`_factor_tables` to plain lists, where element access is
-    far cheaper than on numpy scalars; the lists of the fields the sampler
-    writes are the copies it writes back when it closes.
+    far cheaper than on numpy scalars.
 
     The loop body is generated by :func:`_sweep_source` for the number of
     topics K and compiled once per K: a loop over topics costs CPython an
@@ -274,42 +293,36 @@ def _python_sampler(state: SweepState) -> _Sampler:
     straight-line code on locals does the same arithmetic, in the same
     order, without them. The source is built from K alone, never from input
     data."""
-    _check_state(state)
-    items = state.items()
-    values = [v.tolist() if f.metadata else float(v) for f, v in items]
-    copies = [(v, copy) for (f, v), copy in zip(items, values) if f.metadata.get("written")]
-    tables = [f.tolist() for f in _factor_tables(state)]
+    own, counts = _own_state(state)
+    values = [v.tolist() if f.metadata else float(v) for f, v in own.items()]
+    tables = [t.tolist() for t in chain(counts, _factor_tables(own, counts))]
     # no tokens: nothing to sample, and k may be 0, with no sweep source
-    fn = _unrolled_sweep(len(state.n_t)) if len(state.z) else lambda *args: None
+    fn = _unrolled_sweep(len(own.prior_total)) if len(own.z) else lambda *args: None
     # the draws' list is a call argument, freed when the sweep returns
-    return _Sampler(lambda u: fn(*values, *tables, u.tolist()), len(state.z), copies)
+    return _Sampler(lambda u: fn(*values, *tables, u.tolist()), state.z, values[:3], tables[:3])
 
 
 def _compiled_sampler(fn, state: SweepState) -> _Sampler:
-    """A sampler on the compiled kernel `fn`, once :func:`_check_state`
-    accepts `state`. It copies z, offsets and word_of, makes the factor
-    tables of :func:`_factor_tables` and the kernel's weights buffer, and
-    takes every array pointer; a sweep passes only the draws. Only the
-    sampler holds the copies and only the kernel writes them, with topics in
-    [0, k), so the indices the kernel follows stay in range without a check
-    per sweep. The count tables are shared and updated in place; the copy of
-    z is the one the sampler writes back when it closes."""
-    _check_state(state)
-    k = state.n_t.shape[0]
-    own = replace(state, z=state.z.copy(), offsets=state.offsets.copy(),
-                  word_of=state.word_of.copy())
+    """A sampler on the compiled kernel `fn` over :func:`_own_state`. It
+    makes the factor tables of :func:`_factor_tables` and the kernel's
+    weights buffer and takes every array pointer; a sweep passes only the
+    draws. Only the sampler holds its copies and only the kernel writes
+    them, with topics in [0, k), so the indices the kernel follows stay in
+    range without a check per sweep."""
+    own, counts = _own_state(state)
+    k = len(own.prior_total)
     # data_as pointers keep their arrays alive, so the sweep holds every
     # array whose pointer it passes, the copies and tables it made among them
-    head = [state.n_dt.shape[0], k, *(
+    head = [len(own.offsets) - 1, k, *(
         a.ctypes.data_as(ctypes.c_void_p) if f.metadata else float(a) for f, a in own.items()),
-        *(a.ctypes.data_as(ctypes.c_void_p) for a in (
-            *_factor_tables(state), np.empty(k, dtype=np.float64)))]
+        *(a.ctypes.data_as(ctypes.c_void_p) for a in chain(
+            counts, _factor_tables(own, counts), [np.empty(k, dtype=np.float64)]))]
 
     def sweep(u: np.ndarray) -> None:
         if fn(*head, u.ctypes.data) == 1:
             raise AssertionError("degenerate sampling weight normalizer")
 
-    return _Sampler(sweep, state.z.shape[0], [(state.z, own.z)])
+    return _Sampler(sweep, state.z, (own.z, own.offsets, own.word_of), counts)
 
 
 def _library_path() -> Path:
@@ -387,15 +400,15 @@ def open_sampler(state: SweepState) -> _Sampler:
     """A sampler over one training's state on the first of :func:`backends`:
     the C kernel, or the pure-Python one when it could not be built. Use it
     as a context manager; its exit, normal or by an exception, is the only
-    close and leaves the arrays, which belong to the sampler until then,
-    holding its state. ``len(sampler)`` is the token count.
+    close and leaves z, which belongs to the sampler until then, holding its
+    state. ``len(sampler)`` is the token count.
 
-    The arrays must be C-contiguous, of the dtypes and dimensions their
-    fields declare, and writeable if the sampler writes them; anything else
-    raises TypeError or ValueError, and so does a token layout
-    :func:`check_tokens` rejects, before a count changes. They are checked
-    here, not when the record is built, as the caller may write them in
-    between and the C kernel follows the ids it copies here."""
+    The arrays must be C-contiguous and of the dtypes and dimensions their
+    fields declare, and z writeable; anything else raises TypeError or
+    ValueError, and so does a token layout :func:`check_tokens` rejects,
+    before z changes. They are checked here, not when the record is built,
+    as the caller may write them in between and the sampler follows the ids
+    it copies here."""
     return next(iter(backends().values()))(state)
 
 

@@ -104,9 +104,6 @@ class RunConfig:
             if problem:
                 raise UsageError(f"{_flag(f)} (config key {f.name}) {problem}")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls)}

@@ -21,6 +21,7 @@ logger = logging.getLogger(__name__)
 _HASHTAG_RE = re.compile(r"#(\w+)")
 
 UNCATEGORIZED = "(uncategorized)"
+MAX_TREND_DAYS = 36_525  # 100 years; checked before the zero-filled span is built
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,8 @@ def category_order(
 def trend_series(corpus: Iterable[Tweet], taxonomy: CategoryTaxonomy) -> list[TrendSeries]:
     """Daily tweet counts per category (UTC days), zero-filled over the
     corpus-wide date span. A tweet in several categories counts once in each;
-    tweets matching nothing go to the trailing "(uncategorized)" series."""
+    tweets matching nothing go to the trailing "(uncategorized)" series. A
+    span of more than MAX_TREND_DAYS days raises DataError naming its ends."""
     tweets = list(corpus)
     names = taxonomy.names()
     counts: dict[str, Counter] = {name: Counter() for name in names}
@@ -190,7 +192,10 @@ def trend_series(corpus: Iterable[Tweet], taxonomy: CategoryTaxonomy) -> list[Tr
     if not days:
         return [TrendSeries(category=name, points=()) for name in counts]
     first, last = min(days), max(days)
-    span = [first + timedelta(days=i) for i in range((last - first).days + 1)]
+    if (length := (last - first).days + 1) > MAX_TREND_DAYS:
+        raise DataError(f"tweets from {first} to {last} span {length} days, "
+                        f"over the {MAX_TREND_DAYS}-day trend limit")
+    span = [first + timedelta(days=i) for i in range(length)]
     return [
         TrendSeries(category=name, points=tuple((d, counts[name][d]) for d in span))
         for name in counts

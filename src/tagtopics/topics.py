@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gibbs import SweepState, check_tokens, open_sampler, run_sweep
+from ._gibbs import SweepState, check_tokens, count_tables, open_sampler, run_sweep
 from .corpus import category_order
 from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
@@ -113,7 +113,8 @@ class SeedSpec:
 class SeededLdaModel:
     """A seeded topic model over flat token arrays: document d, in doc_ids
     order, holds tokens offsets[d] up to offsets[d + 1] of word_of and z.
-    doc_words and assignments are per-document views of word_of and z."""
+    doc_words and assignments are per-document views of word_of and z; the
+    read-only n_dt, n_tw and n_t are counted from them on each read."""
 
     vocabulary: tuple[str, ...]  # word id -> token
     doc_ids: tuple[str, ...]
@@ -125,14 +126,9 @@ class SeededLdaModel:
     word_of: np.ndarray  # (N,) int32, word id of each token
     z: np.ndarray  # (N,) int32, topic of each token; the sampler writes it
     offsets: np.ndarray  # (D + 1,) int64, non-decreasing from 0 to N
-    # counted from word_of, z and offsets; the sampler updates them in place
-    n_dt: np.ndarray = field(init=False, repr=False)  # (D, K) int64
-    n_tw: np.ndarray = field(init=False, repr=False)  # (V, K) int64
-    n_t: np.ndarray = field(init=False, repr=False)  # (K,) int64
 
     def __post_init__(self) -> None:
-        """Check the model's facts and count its tables from them; raises
-        ValueError naming the first malformed fact."""
+        """Raise ValueError naming the first malformed fact, if any."""
         if self.num_unseeded < 0:
             raise ValueError("num_unseeded must be non-negative")
         if self.num_topics > MAX_TOPICS:
@@ -146,7 +142,9 @@ class SeededLdaModel:
             if list(ids) != sorted(set(ids)) or not all(
                     type(w) is int and 0 <= w < self.vocab_size for w in ids):
                 raise ValueError("seed ids must be sorted, distinct integers in [0, V)")
-        self.n_dt, self.n_tw, self.n_t = self._count_tables()
+        if not self.doc_ids or self.offsets.shape != (len(self.doc_ids) + 1,):
+            raise ValueError("doc_ids and offsets disagree in length")
+        check_tokens(self.offsets, self.word_of, self.z, self.vocab_size, self.num_topics)
 
     @property
     def num_seeded(self) -> int:
@@ -168,30 +166,13 @@ class SeededLdaModel:
     def assignments(self) -> tuple[np.ndarray, ...]:
         return tuple(self.z[a:b] for a, b in pairwise(self.offsets.tolist()))
 
-    def _count_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n_dt (D, K), n_tw (V, K) and n_t (K,), int64, counted from
-        word_of, z and offsets: the only code that builds count tables.
-        Raises ValueError if there are no documents, the offsets are not
-        D + 1 entries, or :func:`check_tokens` rejects the token layout, as
-        for an id outside [0, V) or [0, K), which bincount would count
-        elsewhere."""
-        offsets, words, topics = self.offsets, self.word_of, self.z
-        d, v, k = len(self.doc_ids), self.vocab_size, self.num_topics
-        if not d or offsets.shape != (d + 1,):
-            raise ValueError("doc_ids and offsets disagree in length")
-        check_tokens(offsets, words, topics, v, k)
-        docs = np.repeat(np.arange(d, dtype=np.int64), np.diff(offsets))
-        n_dt = np.bincount(docs * k + topics, minlength=d * k).reshape(d, k)
-        n_tw = np.bincount(words.astype(np.int64) * k + topics, minlength=v * k)
-        return n_dt, n_tw.reshape(v, k), np.bincount(topics, minlength=k)
+    def _counts(self):
+        return count_tables(self.offsets, self.word_of, self.z, self.vocab_size,
+                            self.num_topics)
 
-    def check_counts(self) -> None:
-        """Verify that n_dt, n_tw and n_t, which the sampler updates in
-        place, still equal the tables counted from the assignments. Raises
-        AssertionError if one does not, ValueError if ids or lengths are bad."""
-        for name, table in zip(("n_dt", "n_tw", "n_t"), self._count_tables()):
-            if not np.array_equal(getattr(self, name), table):
-                raise AssertionError(f"{name} disagrees with the assignments")
+    n_dt = property(lambda self: next(self._counts()))
+    n_tw = property(lambda self: [*self._counts()][1])
+    n_t = property(lambda self: [*self._counts()][2])
 
     def sweep_state(self) -> SweepState:
         """The sampler's inputs over this model's arrays, with alpha and the
@@ -204,8 +185,7 @@ class SeededLdaModel:
             for w in ids:
                 prior[w, t] += s.mu
             total[t] += s.mu * len(ids)
-        return SweepState(self.z, self.offsets, self.word_of, self.n_dt, self.n_tw,
-                          self.n_t, prior, total, s.alpha)
+        return SweepState(self.z, self.offsets, self.word_of, prior, total, s.alpha)
 
 
 def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
@@ -214,7 +194,7 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
 
     Empty documents are dropped (and recorded on the model); seed words
     missing from the corpus vocabulary are warned about and ignored. The
-    count tables are verified against the assignments after the final sweep.
+    sampler checks its count tables against the assignments when it closes.
     """
     kept = [d for d in docs if d.tokens]
     dropped = tuple(d.tweet_id for d in docs if not d.tokens)
@@ -271,16 +251,17 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
         with open_sampler(model.sweep_state()) as sampler:
             for _ in range(settings.iterations):
                 run_sweep(sampler, rng)
-
-    model.check_counts()
     return model
 
 
 def doc_topic_distribution(model: SeededLdaModel, doc: int) -> np.ndarray:
-    """theta for one document: (n_dt + alpha) / (len + K * alpha)."""
+    """theta for one document, counted alone: (n_dt + alpha) / (len + K * alpha)."""
     if not 0 <= doc < len(model.doc_ids):
         raise IndexError(f"document index {doc} out of range")
-    row, alpha = model.n_dt[doc], model.settings.alpha
+    a, b = model.offsets[doc:doc + 2]
+    (row,) = next(count_tables(np.array([0, b - a]), model.word_of[a:b], model.z[a:b],
+                               model.vocab_size, model.num_topics))
+    alpha = model.settings.alpha
     return (row + alpha) / (row.sum() + model.num_topics * alpha)
 
 
@@ -290,7 +271,8 @@ def classify_all(model: SeededLdaModel, rng: np.random.Generator) -> dict[str, s
     unseeded topic wins. Exact count ties are broken uniformly with rng, one
     draw per tied document, in document order; a document with one winner
     draws nothing."""
-    ties = model.n_dt == model.n_dt.max(axis=1, keepdims=True)
+    n_dt = model.n_dt
+    ties = n_dt == n_dt.max(axis=1, keepdims=True)
     counts = ties.sum(axis=1)
     winners = ties.argmax(axis=1)  # the first winner, right unless tied
     for d in np.flatnonzero(counts > 1):
@@ -411,7 +393,7 @@ def save_model(model: SeededLdaModel, path) -> None:
     """Write the model as deterministic JSON (format version 2): settings,
     categories, vocabulary, seed ids, document ids, and word_of and z
     cut at the offsets into per-document lists (`doc_words`, `assignments`);
-    no count table, as :func:`load_model` counts them. The bytes are one
+    no count table, as the model counts them from these. The bytes are one
     compact ``json.dumps`` of the whole payload plus a newline, but every
     list, last in the payload, is encoded a few thousand items (strings or
     ids) at a time, so no list that grows with the corpus is held whole as
@@ -473,8 +455,8 @@ def load_model(path) -> SeededLdaModel:
     """Read a model written by :func:`save_model`. Every field is
     type-checked, the settings as :func:`train`'s are, and doc_words and
     assignments must agree in length document by document; the model then
-    checks its ids and counts its tables from them. The version must be the
-    JSON integer 2. Any malformed file or payload raises DataError."""
+    checks its ids. The version must be the JSON integer 2. Any malformed
+    file or payload raises DataError."""
     payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")

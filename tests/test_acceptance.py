@@ -147,9 +147,10 @@ def test_criterion_02_gibbs_conditionals():
             for i in range(50)
         ]
         spec = SeedSpec.from_mapping({"A": ["v0"], "B": ["v1"]}, unseeded=1)
-        # train checks its counts after the final sweep, and an n-sweep run
-        # ends where a longer run is after sweep n: any bookkeeping drift in
-        # the first 10 sweeps raises inside train
+        # the sampler checks its counts against z when it closes, after the
+        # final sweep, and an n-sweep run ends where a longer run is after
+        # sweep n: any bookkeeping drift in the first 10 sweeps raises
+        # inside train
         for sweeps in range(11):
             model = train(docs, spec, TrainSettings(iterations=sweeps, rng_seed=9))
 
@@ -187,10 +188,9 @@ def test_criterion_02_gibbs_conditionals():
         for name, factory in _gibbs.backends().items():
             for t, share in itertools.product(range(model.num_topics), (0.5, 0.001, 0.999)):
                 u = (ends[t] - (1 - share) * weights[t]) / ends[-1]
-                # copies of the arrays the sampler writes, so each sweep
-                # starts from the trained model
-                own = replace(state, **{f: getattr(state, f).copy()
-                                        for f in ("z", "n_dt", "n_tw", "n_t")})
+                # a copy of z, the one array the sampler writes, so each
+                # sweep starts from the trained model
+                own = replace(state, z=state.z.copy())
                 draws = np.full(len(own.z), 0.5)
                 draws[0] = u
                 with factory(own) as sampler:

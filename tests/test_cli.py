@@ -6,6 +6,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -464,6 +467,31 @@ class TestExitCodes:
         ) == 2
         capsys.readouterr()
 
+    def test_wide_date_span_exits_2_under_a_memory_limit(self, tmp_path):
+        # two valid tweets 9,998 years apart: their zero-filled trend span
+        # would take 3.65 M days x 4 series; it is refused by name before it
+        # is built, also in a child with 1 GiB of address space, where
+        # building it ended in a MemoryError traceback
+        corpus = tmp_path / "span.jsonl"
+        corpus.write_text(
+            '{"id": "a", "created_at": "0001-01-02T00:00:00Z", "text": "#heatwave"}\n'
+            '{"id": "b", "created_at": "9999-12-30T00:00:00Z", "text": "#heatwave"}\n',
+            encoding="utf-8")
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from tagtopics import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-c", child, "trends", "--corpus", str(corpus),
+             "--taxonomy", str(DATA / "taxonomy.json"), "--out", str(tmp_path / "out")],
+            capture_output=True, encoding="utf-8", env=env, timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "from 0001-01-02 to 9999-12-30" in result.stderr
+
     def test_non_utf8_corpus_line_skipped(self, tmp_path, caplog, capsys):
         corpus = tmp_path / "latin1.jsonl"
         lines = (DATA / "corpus.jsonl").read_bytes().splitlines(keepends=True)
@@ -844,7 +872,7 @@ class TestCliSurface:
 class TestRunConfig:
     def test_round_trip(self):
         cfg = cli.RunConfig()
-        assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert cli.RunConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.UsageError):

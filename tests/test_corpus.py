@@ -6,6 +6,7 @@ import json
 import logging
 import re
 import tempfile
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from tagtopics import cli, corpus, sentiment
 from tagtopics.corpus import (
+    MAX_TREND_DAYS,
     CategoryTaxonomy,
     Tweet,
     UNCATEGORIZED,
@@ -456,6 +458,18 @@ class TestTrendSeries:
     def test_empty_corpus_yields_empty_series(self):
         for s in trend_series([], self.tax):
             assert s.points == ()
+
+    def test_span_of_max_trend_days_accepted_and_longer_refused(self):
+        first = _tweet("a", 1, 10, "#livemusic")
+        last = replace(first, id="b", timestamp=first.timestamp + timedelta(MAX_TREND_DAYS - 1))
+        series = {s.category: s.points for s in trend_series([first, last], self.tax)}
+        assert [len(points) for points in series.values()] == [MAX_TREND_DAYS] * 4
+        assert series["Music"][-1] == (last.timestamp.date(), 1)
+        # one day more is refused, naming both ends, before the span is built
+        later = replace(last, timestamp=last.timestamp + timedelta(1))
+        with pytest.raises(DataError, match=f"from 2021-06-01 to {later.timestamp.date()} "
+                                            f"span {MAX_TREND_DAYS + 1} days"):
+            trend_series([first, later], self.tax)
 
     def test_multi_category_tweet_counts_in_each_series(self):
         rng = np.random.default_rng(3)

@@ -169,9 +169,9 @@ def token_docs(offsets):
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
-ARRAYS = ("z", "offsets", "word_of", "n_dt", "n_tw", "n_t", "word_prior", "prior_total")
-TOKENS_AND_COUNTS = ARRAYS[:6]  # the priors are read-only inputs
-WRITTEN = ("z", "n_dt", "n_tw", "n_t")
+ARRAYS = ("z", "offsets", "word_of", "word_prior", "prior_total")
+# the one array the sampler writes; its close checks its counts against it
+WRITTEN = ("z",)
 
 
 def copied(state):
@@ -185,9 +185,21 @@ def assert_fields_equal(got, want, names=ARRAYS, err_msg=""):
                                       err_msg=f"{err_msg} {name}")
 
 
+def counted(state):
+    """n_dt, n_tw and n_t of state.z, counted token by token."""
+    (v, k), doc_of = state.word_prior.shape, token_docs(state.offsets)
+    n_dt = np.zeros((len(state.offsets) - 1, k), dtype=np.int64)
+    n_tw = np.zeros((v, k), dtype=np.int64)
+    np.add.at(n_dt, (doc_of, state.z), 1)
+    np.add.at(n_tw, (state.word_of, state.z), 1)
+    return n_dt, n_tw, n_dt.sum(axis=0)
+
+
 def replay_sweep(state, u):
-    """Pure-Python mirror of the kernel, accumulating in the same order."""
-    z, word_of, n_dt, n_tw, n_t = state.z, state.word_of, state.n_dt, state.n_tw, state.n_t
+    """Pure-Python mirror of the kernel, accumulating in the same order, over
+    state.z in place and counts taken from it."""
+    z, word_of = state.z, state.word_of
+    n_dt, n_tw, n_t = counted(state)
     prior, prior_total, alpha = state.word_prior, state.prior_total, state.alpha
     k = n_t.shape[0]
     doc_of = token_docs(state.offsets)
@@ -243,17 +255,10 @@ class TestKernel:
         d_count, n = len(lengths), int(offsets[-1])
         word_of = rng.integers(0, v, n).astype(np.int32)
         z = rng.integers(0, k, n).astype(np.int32)
-        n_dt = np.zeros((d_count, k), dtype=np.int64)
-        n_tw = np.zeros((v, k), dtype=np.int64)
-        n_t = np.zeros(k, dtype=np.int64)
-        for d, w, t in zip(token_docs(offsets), word_of, z):
-            n_dt[d, t] += 1
-            n_tw[w, t] += 1
-            n_t[t] += 1
         prior = np.full((v, k), 0.0001)
         prior[rng.integers(0, v, 3), rng.integers(0, k, 3)] += 0.5
         prior_total = prior.sum(axis=0)
-        return SweepState(z, offsets, word_of, n_dt, n_tw, n_t, prior, prior_total, alpha)
+        return SweepState(z, offsets, word_of, prior, prior_total, alpha)
 
     def test_kernel_matches_pure_python_replay(self):
         rng = np.random.default_rng(7)
@@ -286,7 +291,7 @@ class TestKernel:
             for u in draws:
                 replay_sweep(replay, u)
             for name, got_state in runs.items():
-                assert_fields_equal(got_state, replay, TOKENS_AND_COUNTS, name)
+                assert_fields_equal(got_state, replay, WRITTEN, name)
 
     @pytest.mark.parametrize("sweeps", [1, 4])
     def test_sweeps_draw_one_uniform_per_token_from_the_generator(self, sweeps):
@@ -304,7 +309,7 @@ class TestKernel:
                     run_sweep(sampler, drawn)
             for _ in range(sweeps):
                 replay_sweep(replay, clone.random(len(state.z)))
-            assert_fields_equal(got, replay, TOKENS_AND_COUNTS, name)
+            assert_fields_equal(got, replay, WRITTEN, name)
             assert drawn.bit_generator.state == clone.bit_generator.state, name
 
     def test_backends_agree_on_a_settled_chain(self):
@@ -323,15 +328,11 @@ class TestKernel:
         word_of = np.where(rng.random(n) < 0.9, planted + rng.integers(0, per_topic, n),
                            k * per_topic + rng.integers(0, rare, n)).astype(np.int32)
         z = rng.integers(0, k, n).astype(np.int32)
-        v = k * per_topic + rare
-        n_dt, n_tw = np.zeros((d_count, k), dtype=np.int64), np.zeros((v, k), dtype=np.int64)
-        np.add.at(n_dt, (doc_of, z), 1)
-        np.add.at(n_tw, (word_of, z), 1)
-        prior = np.full((v, k), tiny)
+        prior = np.full((k * per_topic + rare, k), tiny)
         for t in range(k):
             prior[t * per_topic:t * per_topic + 2, t] += 0.5
-        state = SweepState(z, np.cumsum([0, *lengths], dtype=np.int64), word_of, n_dt, n_tw,
-                           n_dt.sum(axis=0), prior, prior.sum(axis=0), tiny)
+        state = SweepState(z, np.cumsum([0, *lengths], dtype=np.int64), word_of, prior,
+                           prior.sum(axis=0), tiny)
         draws = [rng.random(n) for _ in range(200)]
         kernels = _gibbs.backends()
         runs = {name: copied(state) for name in kernels}
@@ -344,7 +345,7 @@ class TestKernel:
         replay_sweep(replay, draws[-1])
         assert (replay.z != last).sum() < n / 10  # settled: few tokens move
         for name, got_state in runs.items():
-            assert_fields_equal(got_state, replay, TOKENS_AND_COUNTS, name)
+            assert_fields_equal(got_state, replay, WRITTEN, name)
 
     def test_draws_on_a_weight_boundary_agree(self):
         # r = u * total placed exactly on, and just below, each running sum
@@ -355,8 +356,7 @@ class TestKernel:
         for _ in range(4):
             state = self.setup_state(rng, k=8)
             s = copied(state)
-            n_dt, n_tw, n_t, prior, prior_total = (
-                s.n_dt, s.n_tw, s.n_t, s.word_prior, s.prior_total)
+            (n_dt, n_tw, n_t), prior, prior_total = counted(s), s.word_prior, s.prior_total
             d, w, t = token_docs(s.offsets)[0], s.word_of[0], s.z[0]
             n_dt[d, t] -= 1
             n_tw[w, t] -= 1
@@ -380,7 +380,7 @@ class TestKernel:
                     for name, factory in kernels.items():
                         got = copied(state)
                         sweep_through(factory, got, [u])
-                        assert_fields_equal(got, replay, TOKENS_AND_COUNTS, name)
+                        assert_fields_equal(got, replay, WRITTEN, name)
 
     def test_degenerate_weights_rejected(self):
         # zero prior and zero alpha leave every numerator at zero once the
@@ -389,14 +389,11 @@ class TestKernel:
             z = np.zeros(1, dtype=np.int32)
             offsets = np.array([0, 1], dtype=np.int64)
             word_of = np.zeros(1, dtype=np.int32)
-            n_dt = np.array([[1, 0]], dtype=np.int64)
-            n_tw = np.array([[1, 0]], dtype=np.int64)
-            n_t = np.array([1, 0], dtype=np.int64)
             prior = np.zeros((1, 2))
             prior_total = np.ones(2)
-            with pytest.raises(AssertionError):
-                sweep_through(factory, SweepState(z, offsets, word_of, n_dt, n_tw, n_t,
-                                                  prior, prior_total, 0.0), [np.array([0.5])])
+            with pytest.raises(AssertionError, match="degenerate"):
+                sweep_through(factory, SweepState(z, offsets, word_of, prior, prior_total, 0.0),
+                              [np.array([0.5])])
 
     def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
         # token 3 is alone in document 1 and its word has no prior, so with
@@ -411,22 +408,14 @@ class TestKernel:
         states = {}
         for name, factory in (("open_sampler", _gibbs.open_sampler),
                               *_gibbs.backends().items()):
-            state = SweepState(z.copy(), offsets, word_of, np.array([[2, 1], [0, 1], [1, 1]]),
-                               np.array([[3, 2], [0, 1]]), np.array([3, 3]), prior,
-                               prior.sum(axis=0), 0.0)
-            with pytest.raises(AssertionError):
+            state = SweepState(z.copy(), offsets, word_of, prior, prior.sum(axis=0), 0.0)
+            with pytest.raises(AssertionError, match="degenerate"):
                 sweep_through(factory, state, [u])
             states[name] = state
         want = states.pop("open_sampler")
-        # token 3 is out of the counts, the rest are counted where z puts them
-        counted = np.arange(6) != 3
-        n_dt = np.zeros((3, 2), dtype=np.int64)
-        np.add.at(n_dt, (token_docs(offsets)[counted], want.z[counted]), 1)
-        np.testing.assert_array_equal(want.n_dt, n_dt)
-        np.testing.assert_array_equal(want.n_t, n_dt.sum(axis=0))
         np.testing.assert_array_equal(want.z[3:], z[3:])
         for name, got in states.items():
-            assert_fields_equal(got, want, TOKENS_AND_COUNTS, name)
+            assert_fields_equal(got, want, WRITTEN, name)
 
     def test_degenerate_total_on_a_later_sweep_leaves_the_same_state(self):
         # alpha = 0. Tokens 1-4 are pinned to their topic by a one-topic
@@ -436,7 +425,6 @@ class TestKernel:
         # too. The draws keep token 0 in topic 0 for two sweeps and move it
         # to topic 1 on the third, where token 6's total is zero.
         offsets = np.array([0, 5, 7], dtype=np.int64)
-        doc_of = token_docs(offsets)
         word_of = np.array([1, 2, 2, 3, 3, 0, 1], dtype=np.int32)
         z = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.int32)
         prior = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
@@ -445,13 +433,9 @@ class TestKernel:
         draws[2][0] = 1.0 - 1e-12
         states = {}
         for name, factory in _gibbs.backends().items():
-            n_dt, n_tw = np.zeros((2, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)
-            np.add.at(n_dt, (doc_of, z), 1)
-            np.add.at(n_tw, (word_of, z), 1)
-            state = SweepState(z.copy(), offsets, word_of, n_dt, n_tw, n_dt.sum(axis=0),
-                               prior, prior.sum(axis=0), 0.0)
+            state = SweepState(z.copy(), offsets, word_of, prior, prior.sum(axis=0), 0.0)
             done, rng = [], Draws(draws)
-            with pytest.raises(AssertionError), factory(state) as sampler:
+            with pytest.raises(AssertionError, match="degenerate"), factory(state) as sampler:
                 for u in draws:
                     run_sweep(sampler, rng)
                     done.append(u)
@@ -459,13 +443,49 @@ class TestKernel:
             states[name] = state
         want = states.pop("python")
         np.testing.assert_array_equal(want.z, [1, 0, 0, 1, 1, 0, 0])
-        counted = np.arange(7) != 6  # token 6 is out of the counts
-        n_dt = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(n_dt, (doc_of[counted], want.z[counted]), 1)
-        np.testing.assert_array_equal(want.n_dt, n_dt)
-        np.testing.assert_array_equal(want.n_t, n_dt.sum(axis=0))
         for name, got in states.items():
-            assert_fields_equal(got, want, TOKENS_AND_COUNTS, name)
+            assert_fields_equal(got, want, WRITTEN, name)
+
+    @pytest.mark.parametrize("table", ["n_dt", "n_tw", "n_t"])
+    def test_close_checks_the_sampler_counts(self, table):
+        # each backend counts its own tables from z when it opens and checks
+        # them against a recount of its z when it closes: one count changed
+        # while it is open raises there, naming the table, after z is
+        # written back
+        rng = np.random.default_rng(23)
+        state = self.setup_state(rng)
+        u = rng.random(len(state.z))
+        replay = copied(state)
+        replay_sweep(replay, u)
+        for name, factory in _gibbs.backends().items():
+            got = copied(state)
+            with pytest.raises(AssertionError, match=f"^{table} disagrees"):
+                with factory(got) as sampler:
+                    run_sweep(sampler, Draws([u]))
+                    counts = sampler._tables[("n_dt", "n_tw", "n_t").index(table)]
+                    row = counts if table == "n_t" else counts[0]
+                    row[0] += 1
+            assert_fields_equal(got, replay, WRITTEN, name)
+
+    def test_close_after_an_exception_skips_the_check_and_writes_z(self):
+        # a sweep that raised may have left a token out of the counts, so
+        # the close checks nothing then, but still writes z back, and the
+        # exception raised in the block is the one the caller sees
+        class Stop(Exception):
+            pass
+
+        rng = np.random.default_rng(29)
+        state = self.setup_state(rng)
+        u = rng.random(len(state.z))
+        replay = copied(state)
+        replay_sweep(replay, u)
+        for name, factory in _gibbs.backends().items():
+            got = copied(state)
+            with pytest.raises(Stop), factory(got) as sampler:
+                run_sweep(sampler, Draws([u]))
+                sampler._tables[2][0] += 1
+                raise Stop
+            assert_fields_equal(got, replay, WRITTEN, name)
 
     def test_generated_sweep_built_once_per_k(self):
         rng = np.random.default_rng(5)
@@ -499,9 +519,8 @@ class TestKernel:
         # bad state when the sampler opens, and a sweep once it closed
         rng = np.random.default_rng(3)
         state = self.setup_state(rng)
-        fortran_n_dt = np.asfortranarray(state.n_dt)
-        read_only_n_t = state.n_t.copy()
-        read_only_n_t.flags.writeable = False
+        read_only_z = state.z.copy()
+        read_only_z.flags.writeable = False
         # offsets that would walk tokens outside [0, N) or twice
         first_not_zero, last_not_n, decrease = (state.offsets.copy() for _ in range(3))
         first_not_zero[0] = -1
@@ -511,14 +530,13 @@ class TestKernel:
         negative_topic[0] = -1
         at_open = [
             (TypeError, replace(state, z=state.z.astype(np.int64))),
-            (TypeError, replace(state, n_dt=state.n_dt.astype(np.int32))),
             (TypeError, replace(state, word_prior=state.word_prior.astype(np.float32))),
             (TypeError, replace(state, offsets=state.offsets.tolist())),
             (TypeError, replace(state, offsets=state.offsets.astype(np.int32))),
-            (ValueError, replace(state, n_dt=fortran_n_dt)),
             (ValueError, replace(state, word_of=np.repeat(state.word_of, 2)[::2])),
-            (ValueError, replace(state, n_t=read_only_n_t)),
+            (ValueError, replace(state, z=read_only_z)),
             (ValueError, replace(state, offsets=state.offsets[:-1].copy())),
+            (ValueError, replace(state, offsets=state.offsets[:0].copy())),
             (ValueError, replace(state, prior_total=state.prior_total[:-1].copy())),
             (ValueError, replace(state, prior_total=np.zeros_like(state.prior_total))),
             (ValueError, replace(state, offsets=first_not_zero)),
@@ -558,19 +576,19 @@ class TestKernel:
                 for _ in draws:
                     z[:] = -1
                     offsets[:] = state.offsets[::-1] + 2 ** 62
-                    word_of[::2], word_of[1::2] = -7, state.n_tw.shape[0]
+                    word_of[::2], word_of[1::2] = -7, len(state.word_prior)
                     run_sweep(sampler, rng)
                 np.testing.assert_array_equal(z, -1, err_msg=name)
-            # z, n_dt, n_tw and n_t as replayed on the original ids
+            # z as replayed on the original ids
             assert_fields_equal(got, replay, WRITTEN, name)
 
     def test_compiled_sampler_keeps_its_arrays_alive(self):
         # the C sweep passes raw pointers, so the sampler must hold every
         # array it points into while it is open: its own copies of the ids,
-        # the factor tables it makes, and the caller's count tables and
-        # priors, also when the caller keeps none of them. It holds the
-        # caller's z too, which closing writes back, but not the caller's
-        # offsets and word_of, which it copied
+        # the count and factor tables it makes, and the caller's priors,
+        # also when the caller keeps none of them. It holds the caller's z
+        # too, which closing writes back, but not the caller's offsets and
+        # word_of, which it copied
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -578,7 +596,7 @@ class TestKernel:
         state = self.setup_state(rng)
         u = rng.random(len(state.z))
         fresh = copied(state)
-        held = ("z", "n_dt", "n_tw", "n_t", "word_prior", "prior_total")
+        held = ("z", "word_prior", "prior_total")
         refs = [weakref.ref(getattr(fresh, name)) for name in held]
         ids = [weakref.ref(getattr(fresh, name)) for name in ("offsets", "word_of")]
         sampler = factory(fresh)
@@ -588,7 +606,7 @@ class TestKernel:
         assert all(ref() is None for ref in ids)
         # arrays of NaN and of ids far out of range take over any memory
         # freed too early, and a sweep reading it would not match the replay
-        shapes = (state.n_dt.shape, state.n_tw.shape, state.n_t.shape)
+        shapes = [table.shape for table in counted(state)]
         garbage = [np.full(shape, np.nan) for shape in shapes for _ in range(8)]
         garbage += [np.full(len(u), -(2 ** 30), dtype=np.int32) for _ in range(8)]
         del garbage
@@ -601,18 +619,17 @@ class TestKernel:
             np.testing.assert_array_equal(got, getattr(replay, name))
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
-        # the factor tables, 8 bytes per count, and the draws and the
-        # copies of z and word_of, 16 bytes per token, and of offsets, 8
+        # the count and factor tables, 16 bytes per count, and the draws and
+        # the copies of z and word_of, 16 bytes per token, and of offsets, 8
         # bytes per document and one more, live while the sampler is open;
-        # closing drops them all, so a training's count check after the
-        # sweeps does not hold them beside its own tables
+        # closing drops them all, once its count check is done
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
         rng = np.random.default_rng(17)
         state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
         u = rng.random(len(state.z))
-        table_bytes = 8 * sum(a.size for a in (state.n_dt, state.n_tw, state.n_t))
+        table_bytes = 16 * sum(table.size for table in counted(state))
         copy_bytes = 16 * len(u) + 8 * len(state.offsets)
         tracemalloc.start()
         try:
@@ -717,9 +734,9 @@ class TestTrain:
     def test_invariants_hold_and_checked(self):
         docs = small_corpus()
         spec = SeedSpec.from_mapping({"A": ["apple"]}, unseeded=2)
-        for sweeps in range(11):  # train checks its counts after the last sweep
+        # the sampler checks its counts against z when it closes
+        for sweeps in range(11):
             model = train(docs, spec, TrainSettings(iterations=sweeps, rng_seed=3))
-        model.check_counts()
         total_tokens = len(model.word_of)
         assert int(model.n_t.sum()) == total_tokens
         assert model.num_topics == 3
@@ -877,6 +894,17 @@ class TestTokenArrays:
         np.testing.assert_array_equal(model.n_dt, [[1, 1], [0, 0], [2, 1]])
         model.assignments[2][0] = 1  # a view: the write reaches z
         assert model.z.tolist() == [0, 1, 1, 0, 1]
+
+    def test_counts_follow_z(self):
+        # the count tables are counted from z on each read, so a write into
+        # z shows in them, and the model stores no table of its own
+        model = SeededLdaModel(**{**self.FIELDS, "z": self.FIELDS["z"].copy()})
+        model.z[2] = 1
+        np.testing.assert_array_equal(model.n_dt, [[1, 1], [0, 0], [1, 2]])
+        np.testing.assert_array_equal(model.n_tw, [[2, 0], [0, 3]])
+        np.testing.assert_array_equal(model.n_t, [2, 3])
+        assert not {"n_dt", "n_tw", "n_t"} & {f.name for f in fields(SeededLdaModel)}
+        assert not hasattr(model, "check_counts")
 
     @pytest.mark.parametrize("change", [
         {"offsets": np.array([1, 2, 2, 5])},  # does not start at 0
