@@ -19,6 +19,11 @@ from .errors import SKIPPED, DataError, iter_csv, iter_jsonl, read_string_lists
 logger = logging.getLogger(__name__)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
+# the one timestamp grammar, which datetime.fromisoformat reads alike on every
+# supported Python: YYYY-MM-DD, optionally followed by T, t or a space and
+# HH[:MM[:SS[.fff|.ffffff]]], and that by Z, z or +-HH:MM[:SS[.ffffff]]
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\d(?:[Tt ]\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+                           r"(?:[Zz]|[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?", re.ASCII)
 
 UNCATEGORIZED = "(uncategorized)"
 MAX_TREND_DAYS = 36_525  # 100 years; checked before the zero-filled span is built
@@ -83,6 +88,8 @@ def extract_hashtags(text: str) -> list[str]:
 
 def _parse_timestamp(value: str) -> datetime:
     s = value.strip()
+    if not _TIMESTAMP_RE.fullmatch(s):
+        raise ValueError(f"not an extended ISO 8601 timestamp: {value!r}")
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)

@@ -17,7 +17,6 @@ import json
 import logging
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
-from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,9 +34,9 @@ DEFAULT_UNSEEDED = 2
 MAX_TOPICS = 1000  # far above any taxonomy; checked before a V x K table is built
 
 _FORMAT = "tagtopics-lda"
-_FORMAT_VERSION = 2  # version 1, which also stored the count tables, is not read
+_FORMAT_VERSION = 3  # versions 1 and 2, which stored other layouts, are not read
 _SEPARATORS = (",", ":")
-_SAVE_ITEMS = 8192  # JSON values (strings, ids, id lists) per piece save_model writes
+_SAVE_ITEMS = 8192  # list items (strings, ids, id lists) per piece save_model writes
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,8 @@ class SeedSpec:
 @dataclass
 class SeededLdaModel:
     """A seeded topic model over flat token arrays: document d, in doc_ids
-    order, holds tokens offsets[d] up to offsets[d + 1] of word_of and z.
-    doc_words and assignments are per-document views of word_of and z; the
-    read-only n_dt, n_tw and n_t are counted from them on each read."""
+    order, holds tokens offsets[d] up to offsets[d + 1] of word_of and z;
+    the read-only n_dt, n_tw and n_t are counted from them on each read."""
 
     vocabulary: tuple[str, ...]  # word id -> token
     doc_ids: tuple[str, ...]
@@ -158,14 +156,6 @@ class SeededLdaModel:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    @property
-    def doc_words(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.word_of[a:b] for a, b in pairwise(self.offsets.tolist()))
-
-    @property
-    def assignments(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.z[a:b] for a, b in pairwise(self.offsets.tolist()))
-
     def _counts(self):
         return count_tables(self.offsets, self.word_of, self.z, self.vocab_size,
                             self.num_topics)
@@ -193,8 +183,9 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
     """Run collapsed Gibbs sampling with `settings`; return the trained model.
 
     Empty documents are dropped (and recorded on the model); seed words
-    missing from the corpus vocabulary are warned about and ignored. The
-    sampler checks its count tables against the assignments when it closes.
+    missing from the corpus vocabulary are warned about and ignored. Priors
+    whose totals overflow raise DataError. The sampler checks its count
+    tables against the assignments when it closes.
     """
     kept = [d for d in docs if d.tokens]
     dropped = tuple(d.tweet_id for d in docs if not d.tokens)
@@ -221,6 +212,11 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
                 "seed words for %r missing from vocabulary: %s", name, ", ".join(missing)
             )
         seed_word_ids.append(tuple(ids))
+    # the largest of sweep_state's prior totals V * beta + mu * |seeds of t|
+    v, most_seeds = len(vocab_index), max(map(len, seed_word_ids), default=0)
+    if not np.isfinite(v * settings.beta + settings.mu * most_seeds):
+        raise DataError(f"prior total V * beta + mu * (seeds of a topic) overflows: "
+                        f"beta {settings.beta:g}, mu {settings.mu:g}, V {v}")
 
     # the topics a word's tokens start in: the first n_choices[w] of
     # owners[w], the topics it seeds, or all K topics if it seeds none
@@ -390,14 +386,14 @@ def derive_gold(
 
 
 def save_model(model: SeededLdaModel, path) -> None:
-    """Write the model as deterministic JSON (format version 2): settings,
-    categories, vocabulary, seed ids, document ids, and word_of and z
-    cut at the offsets into per-document lists (`doc_words`, `assignments`);
-    no count table, as the model counts them from these. The bytes are one
-    compact ``json.dumps`` of the whole payload plus a newline, but every
-    list, last in the payload, is encoded a few thousand items (strings or
-    ids) at a time, so no list that grows with the corpus is held whole as
-    encoder input, as text or as per-document arrays."""
+    """Write the model as deterministic JSON (format version 3): settings,
+    categories, vocabulary, seed ids, document ids, and the token layout as
+    the model holds it, flat: `doc_lengths` (the offsets' differences),
+    `word_of` and `z`; no count table, as the model counts them from these.
+    The bytes are one compact ``json.dumps`` of the whole payload plus a
+    newline, but every list, last in the payload, is encoded _SAVE_ITEMS
+    items at a time, so no list that grows with the corpus is held whole as
+    encoder input, as text or as a Python list."""
     head = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
@@ -405,27 +401,24 @@ def save_model(model: SeededLdaModel, path) -> None:
         "categories": list(model.categories),
         "num_unseeded": model.num_unseeded,
     }
+    # each list's length and its items a up to b; json encodes an array as a list
     lists = (
-        ("vocabulary", model.vocabulary),
-        ("seed_word_ids", model.seed_word_ids),
-        ("doc_ids", model.doc_ids),
-        ("dropped_doc_ids", model.dropped_doc_ids),
-        ("doc_words", (model.word_of[a:b] for a, b in pairwise(model.offsets))),
-        ("assignments", (model.z[a:b] for a, b in pairwise(model.offsets))),
+        ("vocabulary", model.vocab_size, lambda a, b: model.vocabulary[a:b]),
+        ("seed_word_ids", model.num_seeded, lambda a, b: model.seed_word_ids[a:b]),
+        ("doc_ids", len(model.doc_ids), lambda a, b: model.doc_ids[a:b]),
+        ("dropped_doc_ids", len(model.dropped_doc_ids), lambda a, b: model.dropped_doc_ids[a:b]),
+        ("doc_lengths", len(model.doc_ids), lambda a, b: np.diff(model.offsets[a:b + 1])),
+        ("word_of", len(model.word_of), lambda a, b: model.word_of[a:b]),
+        ("z", len(model.z), lambda a, b: model.z[a:b]),
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, separators=_SEPARATORS)[:-1])
-        for key, items in lists:
+        for key, size, items in lists:
             fh.write(f',"{key}":[')
-            piece, size, sep = [], 0, ""
-            for item in items:
-                piece.append(item.tolist() if isinstance(item, np.ndarray) else item)
-                size += 1 if isinstance(item, str) else 1 + len(item)
-                if size >= _SAVE_ITEMS:
-                    fh.writelines((sep, json.dumps(piece, separators=_SEPARATORS)[1:-1]))
-                    piece, size, sep = [], 0, ","
-            if piece:
-                fh.writelines((sep, json.dumps(piece, separators=_SEPARATORS)[1:-1]))
+            for a in range(0, size, _SAVE_ITEMS):
+                piece = json.dumps(items(a, a + _SAVE_ITEMS), separators=_SEPARATORS,
+                                   default=np.ndarray.tolist)
+                fh.writelines(("," if a else "", piece[1:-1]))
             fh.write("]")
         fh.write("}\n")
 
@@ -439,29 +432,26 @@ def _field(payload: dict, key: str, kinds: tuple[type, ...], item: type | None =
     return value
 
 
-def _id_lists(payload: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """payload[key], a list of integer lists, as one flat int32 array and the
-    int64 offsets of its lists. Ids beyond 32 bits are rejected, not wrapped."""
-    lists = _field(payload, key, (list,), list)
-    flat = list(chain.from_iterable(lists))
-    if not set(map(type, flat)) <= {int}:
-        raise TypeError(f"{key} holds an id that is not an integer")
-    if flat and (min(flat) < -2**31 or max(flat) >= 2**31):
-        raise ValueError(f"{key} holds an id beyond 32 bits")
-    return np.array(flat, dtype=np.int32), np.cumsum([0, *map(len, lists)], dtype=np.int64)
+def _ints(payload: dict, key: str) -> list[int]:
+    """payload[key], a flat list of integers within 32 bits: a value beyond
+    them is rejected, not wrapped."""
+    values = _field(payload, key, (list,), int)
+    if values and (min(values) < -2**31 or max(values) >= 2**31):
+        raise ValueError(f"{key} holds a value beyond 32 bits")
+    return values
 
 
 def load_model(path) -> SeededLdaModel:
     """Read a model written by :func:`save_model`. Every field is
-    type-checked, the settings as :func:`train`'s are, and doc_words and
-    assignments must agree in length document by document; the model then
-    checks its ids. The version must be the JSON integer 2. Any malformed
-    file or payload raises DataError."""
+    type-checked, the settings as :func:`train`'s are; the offsets are the
+    running sum of doc_lengths, and the model then checks that they end at
+    len(word_of) == len(z) and checks its ids. The version must be the JSON
+    integer 3. Any malformed file or payload raises DataError."""
     payload = read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} model file")
     version = payload.get("version")
-    if type(version) is not int or version != _FORMAT_VERSION:  # so 2.0 and true are not 2
+    if type(version) is not int or version != _FORMAT_VERSION:  # so 3.0 and true are not 3
         raise DataError(f"{path}: unsupported model version {version!r}")
     try:
         facts = {key: tuple(_field(payload, key, (list,), str))
@@ -469,10 +459,8 @@ def load_model(path) -> SeededLdaModel:
         facts["num_unseeded"] = _field(payload, "num_unseeded", (int,))
         facts["settings"] = TrainSettings(**{f.name: payload[f.name] for f in fields(TrainSettings)})
         facts["seed_word_ids"] = tuple(map(tuple, _field(payload, "seed_word_ids", (list,), list)))
-        word_of, offsets = _id_lists(payload, "doc_words")
-        z, z_offsets = _id_lists(payload, "assignments")
-        if not np.array_equal(z_offsets, offsets):
-            raise ValueError("doc_words and assignments disagree in length in a document")
+        offsets = np.cumsum([0, *_ints(payload, "doc_lengths")], dtype=np.int64)
+        word_of, z = (np.array(_ints(payload, key), dtype=np.int32) for key in ("word_of", "z"))
         return SeededLdaModel(**facts, word_of=word_of, z=z, offsets=offsets)
     except KeyError as exc:
         raise DataError(f"{path}: model payload lacks {exc}") from exc

@@ -6,9 +6,11 @@ These run the real implementations end to end at the stated tolerances; the
 unit suites cover the same code at finer grain.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import platform
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -157,8 +159,8 @@ def test_criterion_02_gibbs_conditionals():
         state = model.sweep_state()
         prior, prior_total, alpha = state.word_prior, state.prior_total, model.settings.alpha
         for d in (0, 17, 49):
-            w = int(model.doc_words[d][0])
-            t_cur = int(model.assignments[d][0])
+            w = int(model.word_of[model.offsets[d]])
+            t_cur = int(model.z[model.offsets[d]])
             nd = model.n_dt[d].astype(np.float64).copy()
             nw = model.n_tw[w].astype(np.float64).copy()
             nt = model.n_t.astype(np.float64).copy()
@@ -487,7 +489,7 @@ def build_synthetic(tmp: Path) -> None:
     (tmp / "parses.conllu").write_text(serialize_parses(trees), encoding="utf-8")
 
 
-def run_pipeline(data: Path, out: Path) -> None:
+def run_pipeline(data: Path, out: Path, train_flags=("--iters", "200")) -> None:
     base = ["--corpus", str(data / "corpus.jsonl"),
             "--taxonomy", str(data / "taxonomy.json")]
     parses = ["--parses", str(data / "parses.conllu")]
@@ -500,7 +502,7 @@ def run_pipeline(data: Path, out: Path) -> None:
         ["verbs", *base, *parses, *dest],
         ["pairs", *base, *parses, *dest],
         ["topics-train", *base, "--seed-file", str(data / "seeds.json"),
-         "--iters", "200", *dest],
+         *train_flags, *dest],
         ["topics-classify", *dest],
         ["topics-eval", *base, *dest],
         ["report", *dest],
@@ -546,3 +548,50 @@ def test_pipeline_model_reads_no_echo_term(tmp_path, capsys):
     echo = _echo_terms(load_taxonomy(tmp_path / "taxonomy.json"), frozenset())
     assert len(model["doc_ids"]) == 500
     assert not set(model["vocabulary"]) & echo
+
+
+# ---------------------------------------------------------------------------
+# golden artifact digests: the pipeline's bytes pinned across trees
+
+
+GOLDEN = DATA / "golden.json"
+
+
+def golden_digests(tmp: Path) -> dict[str, dict[str, str]]:
+    """sha256 of every pipeline artifact, run in-process as criterion 8 runs
+    it, for criterion 8's corpus and for tests/data with fixed flags; the one
+    function behind both the test and tests/update_golden.py."""
+    synthetic = tmp / "synthetic"
+    synthetic.mkdir()
+    build_synthetic(synthetic)
+    inputs = {"synthetic": (synthetic, ("--iters", "200")),
+              "tests_data": (DATA, ("--alpha", "1", "--iters", "50"))}
+    digests = {}
+    for name, (data, train_flags) in inputs.items():
+        out = tmp / f"out_{name}"
+        run_pipeline(data, out, train_flags)
+        digests[name] = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                         for artifact in PIPELINE_ARTIFACTS}
+    return digests
+
+
+def test_golden_artifact_digests(tmp_path, capsys):
+    """Every artifact has the bytes tests/data/golden.json records, on every
+    sampler backend. Criterion 8 compares two runs of one tree, so it cannot
+    see a change that alters bytes the same way twice; this test can. A
+    change that alters bytes on purpose regenerates the file with
+    tests/update_golden.py and says in CHANGES.md which digests changed and
+    why. Two causes besides this code can move a digest, and the failure
+    names the artifact and both version pairs so they can be told apart:
+    numpy's Generator streams may change between releases (NEP 19), and
+    math.log in tfidf comes from the platform's libm. If a release breaks
+    the digests, record a second digest set for it; never loosen the check."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = golden_digests(tmp_path)
+    capsys.readouterr()  # drop the subcommand summary lines
+    wrong = [f"{name}/{artifact}" for name, table in golden["digests"].items()
+             for artifact, digest in table.items() if got[name][artifact] != digest]
+    assert not wrong and got == golden["digests"], (
+        f"artifact digests differ from {GOLDEN.name}: {', '.join(wrong) or 'its keys'}; "
+        f"recorded with Python {golden['python']}, numpy {golden['numpy']}; running "
+        f"Python {platform.python_version()}, numpy {np.__version__}")

@@ -512,7 +512,7 @@ class TestExitCodes:
         assert run("topics-train", *BASE, *seed, "--iters", "2", "--out", out) == 0
         path = tmp_path / "model.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["assignments"][0][0] = 99
+        payload["z"][0] = 99
         path.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
         assert run("topics-classify", "--out", out) == 2
@@ -520,6 +520,19 @@ class TestExitCodes:
         assert "data error" in err and "topic id" in err
         assert "Traceback" not in err
         assert not (tmp_path / "assignments.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--beta", "--mu"])
+    def test_overflowing_prior_total_exits_2(self, tmp_path, capsys, flag):
+        # V * beta, or mu times the seeds of a topic, is past the largest float
+        out = tmp_path / "out"
+        code = run("topics-train", *BASE, "--seed-file", str(DATA / "seeds.json"),
+                   flag, "1e308", "--iters", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "tagtopics: data error: prior total V * beta + mu" in err
+        assert "overflows: beta " in err and ", mu " in err and ", V " in err
+        assert "Traceback" not in err
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("seeds, flags", [
         ({"Music": [], "Sports": ["innings"]}, []),  # an empty seed list
@@ -540,9 +553,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, value, message", [
         ("topics-classify", "rng_seed", -1, "rng_seed must be non-negative"),
         ("report", "num_unseeded", 10 ** 12, "topics, over 1000"),
-        # only the JSON integer 2 is a version this loader reads
+        # only the JSON integer 3 is a version this loader reads
         *(("topics-classify", "version", version, f"unsupported model version {version!r}")
-          for version in (2.0, True, 1.0, "2", 1)),
+          for version in (3.0, True, "3", 2, 1, 2.0, 1.0)),
     ])
     def test_model_field_out_of_range_exits_2(self, tmp_path, capsys, command, key, value,
                                               message):

@@ -95,7 +95,67 @@ class TestExtractHashtags:
         assert extract_hashtags("#b #a #c") == ["b", "a", "c"]
 
 
+def utc(*args):
+    return datetime(*args, tzinfo=timezone.utc)
+
+
+# one timestamp grammar on every supported Python: each stamp with the UTC
+# instant it denotes, and stamps skipped though some Python's fromisoformat
+# reads them (the first five on 3.11, not on 3.10)
+TIMESTAMPS_LOADED = [
+    ("2020-03-01", utc(2020, 3, 1)),
+    ("2020-03-01T12", utc(2020, 3, 1, 12)),
+    ("2020-03-01T12:30", utc(2020, 3, 1, 12, 30)),
+    ("2020-03-01T12:30:45", utc(2020, 3, 1, 12, 30, 45)),
+    ("2020-03-01 12:30:45", utc(2020, 3, 1, 12, 30, 45)),
+    ("2020-03-01t12:30:45z", utc(2020, 3, 1, 12, 30, 45)),
+    ("2020-03-01T12:30:45Z", utc(2020, 3, 1, 12, 30, 45)),
+    (" 2020-03-01T12:30:45Z\t", utc(2020, 3, 1, 12, 30, 45)),
+    ("2020-03-01T12:30:45.123", utc(2020, 3, 1, 12, 30, 45, 123000)),
+    ("2020-03-01T12:30:45.123456Z", utc(2020, 3, 1, 12, 30, 45, 123456)),
+    ("2020-03-01T12+01:00", utc(2020, 3, 1, 11)),
+    ("2020-03-01T12:30-04:00", utc(2020, 3, 1, 16, 30)),
+    ("2020-03-01T12:30:45+05:30", utc(2020, 3, 1, 7, 0, 45)),
+    ("2020-03-01T12:30:45-00:00", utc(2020, 3, 1, 12, 30, 45)),
+    ("2020-03-01T12:30:45+01:00:30", utc(2020, 3, 1, 11, 30, 15)),
+    ("2020-03-01T12:30:45+01:00:30.500000", utc(2020, 3, 1, 11, 30, 14, 500000)),
+    ("2020-03-01T00:30:00+01:00", utc(2020, 2, 29, 23, 30)),
+    ("2021-06-01T18:00:00+02:00", utc(2021, 6, 1, 16)),  # as in tests/data
+]
+TIMESTAMPS_SKIPPED = [
+    "20200301T120000", "2020-03-01 12:00:00+0000", "2020-03-01T12:00:00.1+00:00",
+    "2020-03-01T12:00+0100", "2020-W10-1",
+    "2020-03-01T12:00:00.1", "2020-03-01T12:00:00.12345", "2020-03-01T12:00:00,5",
+    "2020-03-01T12:00:00+01", "2020-03-01T12:00:00+01:00:30.123", "2020-03-01x12:00",
+    "2020-03-01+01:00", "2020-03-01Z", "2020-03-01T1:00", "2020-3-01", "+2020-03-01",
+    "\u0662\u0660\u0662\u0660-03-01", "2020-03-01T24:00:00", "2020-13-01",
+    "2020-03-01T12:00:00+24:00", "sometime yesterday", "",
+]
+
+
 class TestLoadCorpus:
+    @pytest.mark.parametrize("stamp, instant", TIMESTAMPS_LOADED)
+    def test_timestamp_grammar_loads(self, tmp_path, stamp, instant):
+        p = tmp_path / "stamps.jsonl"
+        p.write_text(json.dumps({"id": "a", "created_at": stamp, "text": "x"}) + "\n",
+                     encoding="utf-8")
+        (tweet,) = load_corpus(p)
+        assert tweet.timestamp == instant
+        assert tweet.timestamp.utcoffset() == timedelta(0)
+
+    @pytest.mark.parametrize("stamp", TIMESTAMPS_SKIPPED)
+    def test_timestamp_outside_grammar_skipped(self, tmp_path, caplog, stamp):
+        p = tmp_path / "stamps.jsonl"
+        p.write_text(
+            json.dumps({"id": "b", "created_at": "2021-06-01T05:00:00Z", "text": "x"}) + "\n"
+            + json.dumps({"id": "a", "created_at": stamp, "text": "x"}) + "\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING", logger="tagtopics.corpus"):
+            assert [t.id for t in load_corpus(p)] == ["b"]
+        (record,) = caplog.records
+        assert "stamps.jsonl:2 skipped: " in record.getMessage()
+
     def test_jsonl_fixture(self):
         tweets = load_corpus(DATA / "corpus.jsonl")
         assert len(tweets) == 12

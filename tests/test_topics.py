@@ -11,6 +11,7 @@ import shutil
 import tracemalloc
 import weakref
 from dataclasses import astuple, fields, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -767,7 +768,8 @@ class TestTrain:
     def test_sole_owner_seed_init(self):
         spec = SeedSpec.from_mapping({"A": ["aa"], "B": ["bb"]}, unseeded=0)
         model = train([doc(1, "aa", "aa", "bb")], spec, TrainSettings(iterations=0, rng_seed=0))
-        np.testing.assert_array_equal(model.assignments[0], [0, 0, 1])
+        a, b = model.offsets[:2]
+        np.testing.assert_array_equal(model.z[a:b], [0, 0, 1])
         np.testing.assert_array_equal(model.n_dt[0], [2, 1])
 
     def test_initial_draws_match_per_token_reference(self):
@@ -888,12 +890,17 @@ class TestTokenArrays:
     )
 
     def test_per_document_views(self):
+        # the offsets cut word_of and z into documents; the model keeps no
+        # per-document copy or view of its own
         model = SeededLdaModel(**{**self.FIELDS, "z": self.FIELDS["z"].copy()})
-        assert [w.tolist() for w in model.doc_words] == [[0, 1], [], [1, 0, 1]]
-        assert [t.tolist() for t in model.assignments] == [[0, 1], [], [0, 0, 1]]
+        cuts = list(pairwise(model.offsets.tolist()))
+        assert [model.word_of[a:b].tolist() for a, b in cuts] == [[0, 1], [], [1, 0, 1]]
+        assert [model.z[a:b].tolist() for a, b in cuts] == [[0, 1], [], [0, 0, 1]]
         np.testing.assert_array_equal(model.n_dt, [[1, 1], [0, 0], [2, 1]])
-        model.assignments[2][0] = 1  # a view: the write reaches z
+        a, b = cuts[2]
+        model.z[a:b][0] = 1  # a view: the write reaches z
         assert model.z.tolist() == [0, 1, 1, 0, 1]
+        assert not hasattr(model, "doc_words") and not hasattr(model, "assignments")
 
     def test_counts_follow_z(self):
         # the count tables are counted from z on each read, so a write into
@@ -1248,7 +1255,8 @@ class TestSaveLoad:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(DataError):
             load_model(path)
-        for version in (99, 1):  # version 1 also stored the count tables
+        # version 1 also stored the count tables, version 2 per-document lists
+        for version in (99, 2, 1):
             write_json(path, {"format": "tagtopics-lda", "version": version})
             with pytest.raises(DataError, match=f"unsupported model version {version}"):
                 load_model(path)
@@ -1261,12 +1269,13 @@ class TestSaveLoad:
 
     def test_counts_not_stored(self, tmp_path):
         _, _, payload = self.saved_payload(tmp_path)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert not {"n_dt", "n_tw", "n_t"} & payload.keys()
+        assert list(payload)[-3:] == ["doc_lengths", "word_of", "z"]
 
     def test_truncated_payload_rejected(self, tmp_path):
         _, path, payload = self.saved_payload(tmp_path)
-        del payload["assignments"]
+        del payload["z"]
         write_json(path, payload)
         with pytest.raises(DataError):
             load_model(path)
@@ -1275,7 +1284,7 @@ class TestSaveLoad:
 def one_shot_text(model):
     """What save_model must write: one compact json.dumps of the payload."""
     payload = {
-        "format": "tagtopics-lda", "version": 2,
+        "format": "tagtopics-lda", "version": 3,
         "alpha": model.settings.alpha, "beta": model.settings.beta,
         "mu": model.settings.mu, "iterations": model.settings.iterations,
         "rng_seed": model.settings.rng_seed,
@@ -1283,8 +1292,8 @@ def one_shot_text(model):
         "vocabulary": list(model.vocabulary),
         "seed_word_ids": [list(ids) for ids in model.seed_word_ids],
         "doc_ids": list(model.doc_ids), "dropped_doc_ids": list(model.dropped_doc_ids),
-        "doc_words": [w.tolist() for w in model.doc_words],
-        "assignments": [z.tolist() for z in model.assignments],
+        "doc_lengths": np.diff(model.offsets).tolist(),
+        "word_of": model.word_of.tolist(), "z": model.z.tolist(),
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -1294,29 +1303,26 @@ def write_json(path, payload):
 
 
 def _token(data, payload, key):
-    """A random (document list, position) of payload[key]."""
-    doc = data.draw(st.sampled_from(payload[key]))
-    return doc, data.draw(st.integers(0, len(doc) - 1))
+    """A random position in the flat list payload[key]."""
+    return data.draw(st.integers(0, len(payload[key]) - 1))
 
 
 def _set_token(key, values):
     def corrupt(payload, data):
-        doc, i = _token(data, payload, key)
-        doc[i] = data.draw(values(payload))
+        payload[key][_token(data, payload, key)] = data.draw(values(payload))
     return corrupt
 
 
-def _pop_token(payload, data):
-    doc, i = _token(data, payload, "assignments")
-    doc.pop(i)
+def _pop_token(key):
+    return lambda payload, data: payload[key].pop(_token(data, payload, key))
 
 
-def _move_token(payload, data):
-    # the total token count stays, so only a per-document length check sees it
-    docs = payload["assignments"]
-    i, j = data.draw(st.lists(st.integers(0, len(docs) - 1), min_size=2,
-                              max_size=2, unique=True))
-    docs[j].append(docs[i].pop())
+def _resize_doc(payload, data):
+    # one document longer or shorter, so the lengths no longer sum to the
+    # token count of word_of and z
+    lengths = payload["doc_lengths"]
+    d = _token(data, payload, "doc_lengths")
+    lengths[d] += data.draw(st.integers(-lengths[d], 2 ** 20).filter(bool))
 
 
 def _duplicate(key):
@@ -1358,13 +1364,15 @@ NON_INTEGERS = (st.floats() | st.text(max_size=3) | st.none() | st.booleans()
 
 def _non_integer(payload, data):
     key = data.draw(st.sampled_from(
-        ["doc_words", "assignments", "seed_word_ids",
+        ["doc_lengths", "word_of", "z", "seed_word_ids",
          "version", "iterations", "num_unseeded", "rng_seed"]))
     if key in ("version", "iterations", "num_unseeded", "rng_seed"):
         payload[key] = data.draw(NON_INTEGERS)
-    else:
-        doc, i = _token(data, payload, key)
-        doc[i] = data.draw(NON_INTEGERS)
+        return
+    values = payload[key]
+    if key == "seed_word_ids":
+        values = data.draw(st.sampled_from(values))
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(NON_INTEGERS)
 
 
 def _num_topics(payload):
@@ -1373,18 +1381,23 @@ def _num_topics(payload):
 
 CORRUPTIONS = {
     "doc_ids shorter": lambda payload, data: payload["doc_ids"].pop(),
-    "doc_words shorter": lambda payload, data: payload["doc_words"].pop(),
-    "assignments shorter in one document": _pop_token,
-    "assignments token moved to another document": _move_token,
+    "doc_lengths shorter": lambda payload, data: payload["doc_lengths"].pop(),
+    "word_of shorter": _pop_token("word_of"),
+    "z shorter": _pop_token("z"),
+    "doc lengths sum past or short of the tokens": _resize_doc,
+    "negative doc length": _set_token("doc_lengths", lambda p: st.integers(max_value=-1)),
+    "bool doc length": _set_token("doc_lengths", lambda p: st.booleans()),
+    "doc length beyond int64": _set_token(
+        "doc_lengths", lambda p: st.integers(min_value=2 ** 63)
+        | st.integers(max_value=-2 ** 63 - 1)),
     "duplicate doc id": _duplicate("doc_ids"),
     "duplicate vocabulary word": _duplicate("vocabulary"),
     "duplicate category": _duplicate("categories"),
     "word id >= V": _set_token(
-        "doc_words", lambda p: st.integers(min_value=len(p["vocabulary"]))),
-    "word id < 0": _set_token("doc_words", lambda p: st.integers(max_value=-1)),
-    "topic id >= K": _set_token(
-        "assignments", lambda p: st.integers(min_value=_num_topics(p))),
-    "topic id < 0": _set_token("assignments", lambda p: st.integers(max_value=-1)),
+        "word_of", lambda p: st.integers(min_value=len(p["vocabulary"]))),
+    "word id < 0": _set_token("word_of", lambda p: st.integers(max_value=-1)),
+    "topic id >= K": _set_token("z", lambda p: st.integers(min_value=_num_topics(p))),
+    "topic id < 0": _set_token("z", lambda p: st.integers(max_value=-1)),
     "seed id outside vocabulary": _bad_seed,
     "seed list count": _seed_list_count,
     "alpha <= 0": _set("alpha", st.floats(max_value=0.0) | st.integers(max_value=0)),
