@@ -19,9 +19,8 @@
  * and the draw picks the first topic whose sum exceeds it. Counts, factors
  * and z are written only when the token moves to another topic.
  *
- * Returns 0 on success, 1 when a weight total is not positive (zero or NaN).
- * A degenerate total stops the sweep mid-way, after removing that token from
- * its old topic's counts and factors.
+ * A sampler opens only on priors _gibbs.check_weights accepts, which keep
+ * every weight, and so every weight total, positive and finite.
  */
 
 #include <stdint.h>
@@ -39,12 +38,12 @@ static void count(int64_t t, int64_t step, int64_t *row_d, double *fd,
     f_t[t] = (double)n_t[t] + prior_total[t];
 }
 
-int tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
-                    const int64_t *offsets, const int32_t *word_of,
-                    const double *word_prior, const double *prior_total,
-                    double alpha, int64_t *n_dt, int64_t *n_tw, int64_t *n_t,
-                    double *f_dt, double *f_tw, double *f_t,
-                    double *weights, const double *u)
+void tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
+                     const int64_t *offsets, const int32_t *word_of,
+                     const double *word_prior, const double *prior_total,
+                     double alpha, int64_t *n_dt, int64_t *n_tw, int64_t *n_t,
+                     double *f_dt, double *f_tw, double *f_t,
+                     double *weights, const double *u)
 {
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *row_d = n_dt + d * k;
@@ -67,10 +66,6 @@ int tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
                 acc += fd[tt] * fw[tt] / f_t[tt];
                 weights[tt] = acc;
             }
-            if (!(acc > 0.0)) {
-                count(t, -1, row_d, fd, row_w, fw, pw, n_t, f_t, prior_total, alpha);
-                return 1;
-            }
             double r = u[i] * acc;
             int64_t new_t = k - 1;
             for (int64_t tt = 0; tt < k - 1; tt++) {
@@ -86,5 +81,4 @@ int tagtopics_sweep(int64_t n_docs, int64_t k, int32_t *z,
             }
         }
     }
-    return 0;
 }

@@ -28,8 +28,8 @@ Each backend is one factory, :func:`_compiled_sampler` or
 :func:`backends` lists the factories that run here, the compiled one first,
 and is the only code that picks one; :func:`open_sampler` opens its first.
 
-The state is checked once, when the sampler opens, against the token
-layout :func:`check_tokens` states for the model too. The sampler copies z,
+The state is checked once, when the sampler opens, by :func:`check_tokens`,
+as the model is, and by :func:`check_weights`. The sampler copies z,
 offsets and word_of, so the indices it follows stay as checked whatever the
 caller writes, and counts its own n_dt, n_tw and n_t from the copies with
 :func:`count_tables`; no caller passes or receives a count table. Until it
@@ -48,6 +48,7 @@ import logging
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from dataclasses import Field, dataclass, field, fields, replace
@@ -121,14 +122,32 @@ class SweepState:
         return [(f, getattr(self, f.name)) for f in fields(self)]
 
 
+def check_weights(state: SweepState) -> None:
+    """Raise ValueError unless every weight a sweep of `state` can compute is
+    positive and finite. With N tokens, at most L in a document, alpha > 0 and
+    monotone rounding, a weight is at least alpha * min(B) / (N + max Bsum),
+    required > 0, and, its numerator too, at most (L + alpha) * (N + max B) /
+    min(1, min Bsum), required below max float / 2K. Python floats overflow
+    without warning."""
+    if not len(state.z):  # no token, no weight
+        return
+    n, b, bsum, alpha = len(state.z), state.word_prior, state.prior_total, float(state.alpha)
+    if not bsum.min() > 0.0:
+        raise ValueError("prior_total must be positive")
+    low = alpha * float(b.min()) / (n + float(bsum.max()))
+    high = (len(bsum) * (int(np.diff(state.offsets).max()) + alpha) * (n + float(b.max()))
+            / min(1.0, float(bsum.min())))
+    if not (alpha > 0.0 and low > 0.0 and high < sys.float_info.max / 2):
+        raise ValueError(f"sampling weight bounds {low:g} to {high:g} leave 0 or inf possible")
+
+
 def _own_state(state: SweepState) -> tuple[SweepState, tuple[np.ndarray, ...]]:
     """Every factory's start: the state over the sampler's own copies of z,
     offsets and word_of, and the count tables :func:`count_tables` counts
     from them. Rejects arrays the C kernel cannot read safely, as their
     fields declare them: TypeError for another type or dtype, ValueError for
-    other dimensions, a layout other than C-contiguous, a read-only z, prior
-    totals on which the two backends would not agree, or a token layout
-    :func:`check_tokens` rejects."""
+    other dimensions, a layout other than C-contiguous, a read-only z, or
+    what :func:`check_tokens` or :func:`check_weights` rejects."""
     arrays = [(f.name, f.metadata, a) for f, a in state.items() if f.metadata]
     for name, meta, arr in arrays:
         if not isinstance(arr, np.ndarray) or arr.dtype != meta["dtype"]:
@@ -143,12 +162,11 @@ def _own_state(state: SweepState) -> tuple[SweepState, tuple[np.ndarray, ...]]:
     for name, meta, arr in arrays:
         if arr.shape != (shape := tuple(size[dim] for dim in meta["dims"])):
             raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    # a zero normalizer divides by zero: inf in C, ZeroDivisionError in Python
-    if not (state.prior_total > 0.0).all():
-        raise ValueError("prior_total must be positive")
     own = replace(state, z=state.z.copy(), offsets=state.offsets.copy(),
                   word_of=state.word_of.copy())
-    return own, tuple(count_tables(own.offsets, own.word_of, own.z, v, k))
+    counts = tuple(count_tables(own.offsets, own.word_of, own.z, v, k))
+    check_weights(own)
+    return own, counts
 
 
 def _sweep_source(k: int) -> str:
@@ -178,13 +196,12 @@ def _sweep_source(k: int) -> str:
 
     def weights(old: int) -> list[str]:
         # a{t} is both the running sum the draw is compared with and, at
-        # t = k-1, the total; 0.0 + x rounds as the C kernel's accumulator,
-        # which starts at 0.0, does (-0.0 becomes 0.0)
+        # t = k-1, the total; weights are positive, so a0 is 0.0 + w0 as in C
         lines = []
         for t in ts:
             term = (f"((cd[{t}] - 1) + alpha) * ((cw[{t}] - 1) + pw[{t}])"
                     f" / ((tot[{t}] - 1) + p{t})" if t == old else f"d{t} * w{t} / s{t}")
-            lines.append(f"a{t} = {'0.0' if t == 0 else f'a{t - 1}'} + {term}")
+            lines.append(f"a{t} = {f'a{t - 1} + ' if t else ''}{term}")
         return lines
 
     # one block per old topic, and the first running sum above r picks the
@@ -204,9 +221,6 @@ def _sweep_source(k: int) -> str:
         "cw = tw[w]", "fw = tw_f[w]", "pw = prior[w]",
         f"{names('w')} = fw",
         *by_old,
-        f"if not a{k - 1} > 0.0:  # catches zero and NaN",
-        *(f"    {line}" for line in move("t", "-")),
-        "    raise AssertionError('degenerate sampling weight normalizer')",
         f"r *= a{k - 1}",
         *pick,
         "if n != t:",
@@ -317,12 +331,8 @@ def _compiled_sampler(fn, state: SweepState) -> _Sampler:
         a.ctypes.data_as(ctypes.c_void_p) if f.metadata else float(a) for f, a in own.items()),
         *(a.ctypes.data_as(ctypes.c_void_p) for a in chain(
             counts, _factor_tables(own, counts), [np.empty(k, dtype=np.float64)]))]
-
-    def sweep(u: np.ndarray) -> None:
-        if fn(*head, u.ctypes.data) == 1:
-            raise AssertionError("degenerate sampling weight normalizer")
-
-    return _Sampler(sweep, state.z, (own.z, own.offsets, own.word_of), counts)
+    return _Sampler(lambda u: fn(*head, u.ctypes.data), state.z,
+                    (own.z, own.offsets, own.word_of), counts)
 
 
 def _library_path() -> Path:
@@ -379,7 +389,7 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
         fn.argtypes = ([ctypes.c_int64] * 2 + [
             ctypes.c_void_p if f.metadata else ctypes.c_double for f in fields(SweepState)]
             + [ctypes.c_void_p] * len(_OWN_ARRAYS))
-        fn.restype = ctypes.c_int
+        fn.restype = None
         logger.info("Gibbs sweep backend: c (%s)", path)
         return functools.partial(_compiled_sampler, fn)
     logger.warning("C sweep kernel unavailable (%s); falling back to the "
@@ -405,10 +415,10 @@ def open_sampler(state: SweepState) -> _Sampler:
 
     The arrays must be C-contiguous and of the dtypes and dimensions their
     fields declare, and z writeable; anything else raises TypeError or
-    ValueError, and so does a token layout :func:`check_tokens` rejects,
-    before z changes. They are checked here, not when the record is built,
-    as the caller may write them in between and the sampler follows the ids
-    it copies here."""
+    ValueError, and so does a token layout or priors :func:`check_tokens`
+    or :func:`check_weights` rejects, before z changes. They are checked
+    here, not when the record is built, as the caller may write them in
+    between and the sampler follows the ids it copies here."""
     return next(iter(backends().values()))(state)
 
 
@@ -421,8 +431,7 @@ def run_sweep(sampler: _Sampler, rng: np.random.Generator) -> None:
         (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
 
     and reassign by inverse transform on draw i. A closed sampler raises
-    ValueError before rng is drawn from; a weight total that is not
-    positive raises AssertionError."""
+    ValueError before rng is drawn from."""
     if sampler._sweep is None:
         raise ValueError("sweep on a closed sampler")
     rng.random(out=sampler._draws)

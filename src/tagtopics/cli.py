@@ -318,13 +318,9 @@ def _cmd_sentiment(cfg: RunConfig) -> None:
             else sentiment_mod.default_valence_lexicon()
         )
         # scoring matches surface words, so stemming stays off here
-        norm = textprep.NormalizationConfig(
-            stopwords=_norm_config(cfg).stopwords, stem=False
-        )
-        labels = {
-            t.id: sentiment_mod.score_lexicon(textprep.normalize(t.text, norm), lexicon)
-            for t in tweets
-        }
+        norm = textprep.NormalizationConfig(stopwords=_norm_config(cfg).stopwords, stem=False)
+        labels = {t.id: sentiment_mod.score_lexicon(textprep.normalize(t.text, norm), lexicon)
+                  for t in tweets if t.id in membership}
     dists = sentiment_mod.category_distribution(
         labels, membership, categories=taxonomy.names()
     )

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gibbs import SweepState, check_tokens, count_tables, open_sampler, run_sweep
+from ._gibbs import SweepState, check_tokens, check_weights, count_tables, open_sampler, run_sweep
 from .corpus import category_order
 from .errors import DataError, read_json, read_string_lists
 from .textprep import TokenizedDoc
@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = "unassigned"
 
 DEFAULT_UNSEEDED = 2
-MAX_TOPICS = 1000  # far above any taxonomy; checked before a V x K table is built
+MAX_TOPICS = 200  # the fallback sweep's source grows as K**2; checked before V x K tables
 
 _FORMAT = "tagtopics-lda"
 _FORMAT_VERSION = 3  # versions 1 and 2, which stored other layouts, are not read
@@ -165,16 +165,15 @@ class SeededLdaModel:
     n_t = property(lambda self: [*self._counts()][2])
 
     def sweep_state(self) -> SweepState:
-        """The sampler's inputs over this model's arrays, with alpha and the
-        priors: B[w, t] = beta + mu if w seeds topic t else beta; Bsum[t] =
-        V * beta + mu * |in-vocabulary seeds of t|."""
+        """The sampler's inputs over this model's arrays: alpha and, in Python
+        floats, which overflow without numpy's warning, the priors B[w, t] =
+        beta + mu if w seeds t else beta and Bsum[t] = V * beta + mu * |seeds of t|."""
         v, k, s = self.vocab_size, self.num_topics, self.settings
         prior = np.full((v, k), s.beta, dtype=np.float64)
         total = np.full(k, v * s.beta, dtype=np.float64)
         for t, ids in enumerate(self.seed_word_ids):
-            for w in ids:
-                prior[w, t] += s.mu
-            total[t] += s.mu * len(ids)
+            prior[list(ids), t] = s.beta + s.mu
+            total[t] = v * s.beta + s.mu * len(ids)
         return SweepState(self.z, self.offsets, self.word_of, prior, total, s.alpha)
 
 
@@ -184,8 +183,8 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
 
     Empty documents are dropped (and recorded on the model); seed words
     missing from the corpus vocabulary are warned about and ignored. Priors
-    whose totals overflow raise DataError. The sampler checks its count
-    tables against the assignments when it closes.
+    `_gibbs.check_weights` rejects raise DataError, also at 0 sweeps. The
+    sampler checks its count tables against the assignments when it closes.
     """
     kept = [d for d in docs if d.tokens]
     dropped = tuple(d.tweet_id for d in docs if not d.tokens)
@@ -212,12 +211,6 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
                 "seed words for %r missing from vocabulary: %s", name, ", ".join(missing)
             )
         seed_word_ids.append(tuple(ids))
-    # the largest of sweep_state's prior totals V * beta + mu * |seeds of t|
-    v, most_seeds = len(vocab_index), max(map(len, seed_word_ids), default=0)
-    if not np.isfinite(v * settings.beta + settings.mu * most_seeds):
-        raise DataError(f"prior total V * beta + mu * (seeds of a topic) overflows: "
-                        f"beta {settings.beta:g}, mu {settings.mu:g}, V {v}")
-
     # the topics a word's tokens start in: the first n_choices[w] of
     # owners[w], the topics it seeds, or all K topics if it seeds none
     owners = np.tile(np.arange(k, dtype=np.int32), (len(vocab_index), 1))
@@ -243,7 +236,14 @@ def train(docs: Sequence[TokenizedDoc], seeds: SeedSpec,
         offsets=np.cumsum([0, *lengths], dtype=np.int64),
     )
 
+    try:
+        check_weights(model.sweep_state())
+    except ValueError as exc:
+        raise DataError(f"prior total V * beta + mu * (seeds of a topic) or a sampling weight "
+                        f"under- or overflows: beta {settings.beta:g}, mu {settings.mu:g}, "
+                        f"V {model.vocab_size}, alpha {settings.alpha:g} ({exc})") from exc
     if settings.iterations > 0:
+        # a state of its own, so its priors go when the sampler closes, before the recount
         with open_sampler(model.sweep_state()) as sampler:
             for _ in range(settings.iterations):
                 run_sweep(sampler, rng)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from tagtopics import cli, porter, textprep
+from tagtopics.topics import MAX_TOPICS
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,6 +31,20 @@ def run(*argv):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_limited(*argv, **env):
+    """tagtopics argv in a child process with 1 GiB of address space, set
+    in the child only, and env added to its environment."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from tagtopics import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, encoding="utf-8", env=env, timeout=120)
 
 
 class TestTrends:
@@ -477,17 +492,9 @@ class TestExitCodes:
             '{"id": "a", "created_at": "0001-01-02T00:00:00Z", "text": "#heatwave"}\n'
             '{"id": "b", "created_at": "9999-12-30T00:00:00Z", "text": "#heatwave"}\n',
             encoding="utf-8")
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                 "from tagtopics import cli\n"
-                 "sys.exit(cli.main(sys.argv[1:]))\n")
-        src = str(Path(cli.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        result = subprocess.run(
-            [sys.executable, "-c", child, "trends", "--corpus", str(corpus),
-             "--taxonomy", str(DATA / "taxonomy.json"), "--out", str(tmp_path / "out")],
-            capture_output=True, encoding="utf-8", env=env, timeout=120)
+        result = run_limited("trends", "--corpus", str(corpus),
+                             "--taxonomy", str(DATA / "taxonomy.json"),
+                             "--out", str(tmp_path / "out"))
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert "from 0001-01-02 to 9999-12-30" in result.stderr
@@ -534,6 +541,55 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("corpus", ["fixture", "two_tweets"])
+    @pytest.mark.parametrize("alpha, beta, mu, iters, code", [
+        ("0.01", "1e-4", "0.5", "2", 0),
+        ("1e100", "1e100", "0.5", "2", 0),
+        ("1e-150", "1e-150", "0", "2", 0),
+        # every weight would overflow to inf and every token draw the last topic
+        ("1e200", "1e200", "0.5", "2", 2),
+        ("1e200", "1e200", "0.5", "0", 2),
+        # a weight may underflow to 0: on two_tweets the one-token
+        # document's weight total would be 0
+        ("1e-200", "1e-200", "0", "2", 2),
+        ("1e-200", "1e-200", "0", "0", 2),
+    ])
+    def test_priors_are_checked_before_the_first_draw(self, tmp_path, capsys, corpus, alpha,
+                                                      beta, mu, iters, code):
+        # priors whose sampling weights may be 0 or inf exit 2 naming them,
+        # at any sweep count, and write no model
+        path = DATA / "corpus.jsonl"
+        if corpus == "two_tweets":
+            path = tmp_path / "two.jsonl"
+            path.write_text(
+                '{"id": "a", "created_at": "2021-06-01T09:00:00Z", "text": "toilet"}\n'
+                '{"id": "b", "created_at": "2021-06-01T10:00:00Z", '
+                '"text": "Great set at the festival tonight #livemusic"}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        got = run("topics-train", "--corpus", str(path), "--taxonomy", str(DATA / "taxonomy.json"),
+                  "--seed-file", str(DATA / "seeds.json"), "--alpha", alpha, "--beta", beta,
+                  "--mu", mu, "--iters", iters, "--out", str(out))
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert "Traceback" not in err
+        assert (out / "model.json").exists() == (code == 0)
+        if code:
+            assert f"under- or overflows: beta {float(beta):g}, mu {float(mu):g}, " in err
+            assert f", alpha {float(alpha):g} (sampling weight bounds " in err
+
+    def test_most_topics_train_on_the_fallback_under_a_memory_limit(self, tmp_path):
+        # the fallback sweep's generated source grows as K squared; at the
+        # topic cap it builds, with no compiler and 1 GiB of address space,
+        # where --unseeded 900 ended in a MemoryError traceback
+        result = run_limited("topics-train", *BASE, "--seed-file", str(DATA / "seeds.json"),
+                             "--unseeded", str(MAX_TOPICS - 3), "--iters", "2",
+                             "--out", str(tmp_path / "out"),
+                             PATH="", XDG_CACHE_HOME=str(tmp_path / "cache"))
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "falling back to the pure-Python kernel" in result.stderr
+        assert f"{MAX_TOPICS} topics" in result.stdout
+
     @pytest.mark.parametrize("seeds, flags", [
         ({"Music": [], "Sports": ["innings"]}, []),  # an empty seed list
         ({}, ["--unseeded", "0"]),  # no topic at all
@@ -552,7 +608,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("topics-classify", "rng_seed", -1, "rng_seed must be non-negative"),
-        ("report", "num_unseeded", 10 ** 12, "topics, over 1000"),
+        ("report", "num_unseeded", 10 ** 12, f"topics, over {MAX_TOPICS}"),
         # only the JSON integer 3 is a version this loader reads
         *(("topics-classify", "version", version, f"unsupported model version {version!r}")
           for version in (3.0, True, "3", 2, 1, 2.0, 1.0)),

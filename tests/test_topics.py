@@ -89,7 +89,7 @@ class TestSeedSpec:
             SeedSpec(seeded=(("A", frozenset({"x"})),), unseeded=MAX_TOPICS)
 
     @pytest.mark.parametrize("mapping, unseeded", [
-        ({"A": [], "B": ["x"]}, 2), ({}, 0), ({"A": ["x"]}, MAX_TOPICS)])
+        ({"A": [], "B": ["x"]}, 2), ({}, 0), ({"A": ["x"]}, 1000)])
     def test_bad_spec_in_a_file_names_it(self, tmp_path, mapping, unseeded):
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps(mapping), encoding="utf-8")
@@ -213,6 +213,7 @@ def replay_sweep(state, u):
         total = np.float64(0.0)
         for tt in range(k):
             total += weights[tt]
+            assert 0.0 < total < np.inf, "a running sum is not positive and finite"
         r = u[i] * total
         new_t = k - 1
         acc = np.float64(0.0)
@@ -247,17 +248,18 @@ def sweep_through(factory, state, draws):
 
 
 class TestKernel:
-    def setup_state(self, rng, d_count=6, v=9, k=4, n=60, lengths=None, alpha=0.01):
+    def setup_state(self, rng, d_count=6, v=9, k=4, n=60, lengths=None, alpha=0.01,
+                    beta=0.0001, mu=0.5):
         # n tokens in d_count documents of random length, or documents of
-        # the given lengths
+        # the given lengths, and word prior beta, plus mu on three entries
         if lengths is None:
             lengths = np.bincount(rng.integers(0, d_count, n), minlength=d_count)
         offsets = np.cumsum([0, *lengths], dtype=np.int64)
         d_count, n = len(lengths), int(offsets[-1])
         word_of = rng.integers(0, v, n).astype(np.int32)
         z = rng.integers(0, k, n).astype(np.int32)
-        prior = np.full((v, k), 0.0001)
-        prior[rng.integers(0, v, 3), rng.integers(0, k, 3)] += 0.5
+        prior = np.full((v, k), beta)
+        prior[rng.integers(0, v, 3), rng.integers(0, k, 3)] += mu
         prior_total = prior.sum(axis=0)
         return SweepState(z, offsets, word_of, prior, prior_total, alpha)
 
@@ -383,69 +385,67 @@ class TestKernel:
                         sweep_through(factory, got, [u])
                         assert_fields_equal(got, replay, WRITTEN, name)
 
+    @staticmethod
+    def assert_refused_at_open(z, offsets, word_of, prior, prior_total=None):
+        # alpha 0 and word priors of 0, where a weight total can reach zero:
+        # check_weights refuses the state on every backend, z untouched
+        prior = np.array(prior)
+        state = SweepState(np.array(z, dtype=np.int32), np.array(offsets, dtype=np.int64),
+                           np.array(word_of, dtype=np.int32), prior,
+                           prior.sum(axis=0) if prior_total is None else prior_total, 0.0)
+        for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
+            before = copied(state)
+            with pytest.raises(ValueError, match="leave 0 or inf possible"):
+                factory(state)
+            assert_fields_equal(state, before)
+
     def test_degenerate_weights_rejected(self):
         # zero prior and zero alpha leave every numerator at zero once the
         # lone token is removed, so the weight total cannot be positive
-        for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
-            z = np.zeros(1, dtype=np.int32)
-            offsets = np.array([0, 1], dtype=np.int64)
-            word_of = np.zeros(1, dtype=np.int32)
-            prior = np.zeros((1, 2))
-            prior_total = np.ones(2)
-            with pytest.raises(AssertionError, match="degenerate"):
-                sweep_through(factory, SweepState(z, offsets, word_of, prior, prior_total, 0.0),
-                              [np.array([0.5])])
+        self.assert_refused_at_open([0], [0, 1], [0], np.zeros((1, 2)), np.ones(2))
 
     def test_degenerate_total_mid_sweep_leaves_the_same_state(self):
         # token 3 is alone in document 1 and its word has no prior, so with
-        # alpha = 0 its weights are all zero once it is removed; tokens 0-2,
-        # document 0, are resampled first and tokens 4-5, document 2, never
-        # are
-        offsets = np.array([0, 3, 4, 6], dtype=np.int64)
-        word_of = np.array([0, 0, 0, 1, 0, 0], dtype=np.int32)
-        z = np.array([0, 1, 0, 1, 1, 0], dtype=np.int32)
-        prior = np.array([[0.3, 0.2], [0.0, 0.0]])
-        u = np.array([0.9, 0.1, 0.6, 0.5, 0.5, 0.5])
-        states = {}
-        for name, factory in (("open_sampler", _gibbs.open_sampler),
-                              *_gibbs.backends().items()):
-            state = SweepState(z.copy(), offsets, word_of, prior, prior.sum(axis=0), 0.0)
-            with pytest.raises(AssertionError, match="degenerate"):
-                sweep_through(factory, state, [u])
-            states[name] = state
-        want = states.pop("open_sampler")
-        np.testing.assert_array_equal(want.z[3:], z[3:])
-        for name, got in states.items():
-            assert_fields_equal(got, want, WRITTEN, name)
+        # alpha = 0 its weights would all be zero once it is removed, after
+        # document 0 was resampled; refused before the first draw
+        self.assert_refused_at_open([0, 1, 0, 1, 1, 0], [0, 3, 4, 6], [0, 0, 0, 1, 0, 0],
+                                    [[0.3, 0.2], [0.0, 0.0]])
 
     def test_degenerate_total_on_a_later_sweep_leaves_the_same_state(self):
-        # alpha = 0. Tokens 1-4 are pinned to their topic by a one-topic
-        # prior on a word of their own. Token 5 is pinned to token 6's topic
-        # 0, and token 6, whose word has a prior on topic 1 only, can stay in
-        # topic 0 only while token 0, the other token of its word, is there
-        # too. The draws keep token 0 in topic 0 for two sweeps and move it
-        # to topic 1 on the third, where token 6's total is zero.
-        offsets = np.array([0, 5, 7], dtype=np.int64)
-        word_of = np.array([1, 2, 2, 3, 3, 0, 1], dtype=np.int32)
-        z = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.int32)
-        prior = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
-        draws = [np.full(7, 0.5) for _ in range(3)]
-        draws[0][0] = draws[1][0] = 0.0
-        draws[2][0] = 1.0 - 1e-12
-        states = {}
+        # alpha = 0. Token 6, whose word has a prior on topic 1 only, has a
+        # zero weight total once token 0, the other token of its word, moves
+        # to topic 1, which a later sweep may draw; refused before the first
+        self.assert_refused_at_open([0, 0, 0, 1, 1, 0, 0], [0, 5, 7], [1, 2, 2, 3, 3, 0, 1],
+                                    [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-300, 300), st.floats(-300, 300), st.floats(-300, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @example(200, 200, 0, 1)  # every weight overflows
+    @example(-200, -200, -300, 1)  # a weight underflows to zero
+    @example(-150, -150, -300, 1)  # tiny, but every weight is positive
+    def test_priors_the_check_accepts_sweep_on_every_backend(self, alpha, beta, mu, seed):
+        # alpha and the prior scales log-uniform from 1e-300 to 1e300: a
+        # state check_weights accepts sweeps alike on every backend, and
+        # replay_sweep asserts that each of its running sums is positive and
+        # finite; a state it rejects, every backend refuses
+        rng = np.random.default_rng(seed)
+        state = self.setup_state(rng, alpha=10.0 ** alpha, beta=10.0 ** beta, mu=10.0 ** mu)
+        draws = [rng.random(len(state.z)) for _ in range(2)]
+        try:
+            _gibbs.check_weights(state)
+        except ValueError:
+            for factory in _gibbs.backends().values():
+                with pytest.raises(ValueError, match="leave 0 or inf possible"):
+                    factory(state)
+            return
+        replay = copied(state)
+        for u in draws:
+            replay_sweep(replay, u)
         for name, factory in _gibbs.backends().items():
-            state = SweepState(z.copy(), offsets, word_of, prior, prior.sum(axis=0), 0.0)
-            done, rng = [], Draws(draws)
-            with pytest.raises(AssertionError, match="degenerate"), factory(state) as sampler:
-                for u in draws:
-                    run_sweep(sampler, rng)
-                    done.append(u)
-            assert len(done) == 2, name
-            states[name] = state
-        want = states.pop("python")
-        np.testing.assert_array_equal(want.z, [1, 0, 0, 1, 1, 0, 0])
-        for name, got in states.items():
-            assert_fields_equal(got, want, WRITTEN, name)
+            got = copied(state)
+            sweep_through(factory, got, draws)
+            assert_fields_equal(got, replay, WRITTEN, name)
 
     @pytest.mark.parametrize("table", ["n_dt", "n_tw", "n_t"])
     def test_close_checks_the_sampler_counts(self, table):
@@ -506,7 +506,7 @@ class TestKernel:
         # compiled backend passes one argument of the C type per parameter
         source = _gibbs._SOURCE.read_text(encoding="utf-8")
         params = [" ".join(p.split()) for p in re.search(
-            r"int tagtopics_sweep\(([^)]*)\)", source).group(1).split(",")]
+            r"void tagtopics_sweep\(([^)]*)\)", source).group(1).split(",")]
         names = [re.search(r"\w+$", p).group() for p in params]
         state_names = [f.name for f in fields(SweepState)]
         assert names == ["n_docs", "k", *state_names, *_gibbs._OWN_ARRAYS]
@@ -529,6 +529,8 @@ class TestKernel:
         decrease[2] = decrease[3] + 1
         negative_topic = state.z.copy()
         negative_topic[0] = -1
+        negative_prior = state.word_prior.copy()
+        negative_prior[0, 0] = -1e-5
         at_open = [
             (TypeError, replace(state, z=state.z.astype(np.int64))),
             (TypeError, replace(state, word_prior=state.word_prior.astype(np.float32))),
@@ -544,6 +546,13 @@ class TestKernel:
             (ValueError, replace(state, offsets=last_not_n)),
             (ValueError, replace(state, offsets=decrease)),
             (ValueError, replace(state, z=negative_topic)),
+            # priors check_weights rejects: a weight that may overflow or is NaN
+            (ValueError, replace(state, alpha=1e306)),
+            (ValueError, replace(state, alpha=math.nan)),
+            # a negative alpha times a negative word prior is positive, but
+            # n_dt + alpha times a positive one is not
+            (ValueError, replace(state, alpha=-0.01, word_prior=negative_prior,
+                                 prior_total=negative_prior.sum(axis=0))),
         ]
         for factory in (_gibbs.open_sampler, *_gibbs.backends().values()):
             for error, bad in at_open:
