@@ -49,7 +49,7 @@ for name, texts in TEXTS.items():
         for i, text in enumerate(texts)
     ]
     lexicons.append(build_lexicon(docs, category=name))
-    print(f"{name}: {lexicons[-1].total_tokens} tokens after normalization")
+    print(f"{name}: {sum(lexicons[-1].unigram_counts.values())} tokens after normalization")
 
 # Words used by at least two of the three groups, ranked by how many groups
 # share them and then by total frequency.

@@ -1,20 +1,16 @@
 """Per-category lexical statistics.
 
-A group's lexicon is built from its normalized documents: unigram counts,
-adjacent-bigram counts, and position totals. On top of that sit the three
-analyses: words common to several groups, words distinctive to one group,
-and bigram collocations scored by Pearson's chi-square on the group's own
-bigram table. TF-IDF here treats each group as one pseudo-document, with
-raw-count tf and unsmoothed idf = ln(G / df), so a term in every group
-scores exactly zero.
+A group's lexicon is built from its normalized documents: unigram counts
+and adjacent-bigram counts. On top of that sit the three analyses: words
+common to several groups, words distinctive to one group, and bigram
+collocations scored by Pearson's chi-square on the group's own bigram table.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .textprep import TokenizedDoc
 
@@ -24,8 +20,6 @@ class GroupLexicon:
     category: str
     unigram_counts: Counter
     bigram_counts: Counter
-    total_tokens: int
-    total_bigram_positions: int
 
 
 @dataclass(frozen=True)
@@ -44,13 +38,7 @@ def build_lexicon(docs: Iterable[TokenizedDoc], category: str = "") -> GroupLexi
         tokens = doc.tokens
         unigrams.update(tokens)
         bigrams.update(zip(tokens, tokens[1:]))
-    return GroupLexicon(
-        category=category,
-        unigram_counts=unigrams,
-        bigram_counts=bigrams,
-        total_tokens=sum(unigrams.values()),
-        total_bigram_positions=sum(bigrams.values()),
-    )
+    return GroupLexicon(category=category, unigram_counts=unigrams, bigram_counts=bigrams)
 
 
 def common_words(
@@ -112,12 +100,11 @@ def bigram_collocations(
     """Rank the group's bigrams with count >= min_count by chi-square against
     independence of first and second position, computed over the group's own
     bigram positions. Ties break on the bigram itself."""
-    big_n = lexicon.total_bigram_positions
-    if big_n == 0:
-        return []
+    big_n = 0
     first: Counter = Counter()
     second: Counter = Counter()
     for (a, b), count in lexicon.bigram_counts.items():
+        big_n += count
         first[a] += count
         second[b] += count
     stats: list[CollocationStat] = []
@@ -140,30 +127,3 @@ def bigram_collocations(
         )
     stats.sort(key=lambda s: (-s.chi2, s.bigram))
     return stats[:n]
-
-
-def tfidf(
-    group_docs: Sequence[tuple[str, Mapping[str, int] | Iterable[str]]],
-) -> dict[tuple[str, str], float]:
-    """TF-IDF over group pseudo-documents given as (group name, counts or
-    token iterable) pairs. Returns (group, token) -> tf * ln(G / df) for every
-    token present in the group; terms found in all G groups score 0.0."""
-    if not group_docs:
-        raise ValueError("need at least one group")
-    names = [name for name, _ in group_docs]
-    if len(names) != len(set(names)):
-        raise ValueError("group names must be unique")
-    counts = [(name, Counter(doc)) for name, doc in group_docs]
-    g = len(counts)
-    df: Counter = Counter()
-    for _, c in counts:
-        for token, tf in c.items():
-            if tf > 0:
-                df[token] += 1
-    out: dict[tuple[str, str], float] = {}
-    for name, c in counts:
-        for token, tf in c.items():
-            if tf <= 0:
-                continue
-            out[(name, token)] = tf * math.log(g / df[token])
-    return out

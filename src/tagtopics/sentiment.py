@@ -118,12 +118,8 @@ def category_distribution(
     for name in order:
         c = counts[name]
         total = sum(c.values())
-        if total == 0:
-            shares = {label: Fraction(0) for label in NON_NEUTRAL}
-            out.append(SentimentDistribution(name, shares, insufficient_data=True))
-        else:
-            shares = {label: Fraction(100 * c[label], total) for label in NON_NEUTRAL}
-            out.append(SentimentDistribution(name, shares, insufficient_data=False))
+        shares = {label: Fraction(100 * c[label], total or 1) for label in NON_NEUTRAL}
+        out.append(SentimentDistribution(name, shares, insufficient_data=not total))
     return out
 
 

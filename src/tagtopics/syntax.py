@@ -1,10 +1,11 @@
 """Dependency-parse ingestion and verb-centered extraction.
 
 Parses arrive in a CoNLL-U subset: blocks separated by blank lines, each
-preceded by a `# tweet_id = <id>` comment, rows of six tab-separated columns
-ID, FORM, LEMMA, UPOS, HEAD, DEPREL. Exactly one row per block has HEAD 0.
-Invalid or undecodable blocks are skipped with a named diagnostic; valid ones
-round-trip byte-identically through :func:`serialize_parses`.
+with exactly one `# tweet_id = <id>` comment naming a non-empty id, rows of
+six tab-separated columns ID, FORM, LEMMA, UPOS, HEAD, DEPREL. Exactly one
+row per block has HEAD 0. Invalid or undecodable blocks are skipped with a
+named diagnostic; valid ones round-trip byte-identically through
+:func:`serialize_parses`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NOT_UTF8, open_lines, undecodable
-from .lexstats import tfidf
 
 logger = logging.getLogger(__name__)
 
@@ -120,9 +120,11 @@ def _parse_block(lines: list[str]) -> DependencyTree | str | None:
         if undecodable(line):
             return NOT_UTF8
         if line.startswith("#"):
-            comment = line[1:].strip()
-            if comment.startswith("tweet_id") and "=" in comment:
-                tweet_id = comment.split("=", 1)[1].strip()
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "tweet_id":
+                if tweet_id is not None:
+                    return "two tweet_id comments"
+                tweet_id = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 6:
@@ -136,6 +138,8 @@ def _parse_block(lines: list[str]) -> DependencyTree | str | None:
         rows.append(ParseNode(index, *cols[1:4], head, cols[5]))
     if tweet_id is None:
         return "missing tweet_id comment" if rows else None
+    if not tweet_id:
+        return "empty tweet_id"
     return _validate_block(rows) or DependencyTree(tweet_id, tuple(rows))
 
 
@@ -217,35 +221,25 @@ def verb_noun_pairs(
 def distinctive_verbs(
     groups: Mapping[str, Sequence[DependencyTree]], n: int = 10
 ) -> list[VerbProfile]:
-    """Per group, the verbs most distinctive of it: verb lemmas are counted
-    per group, each group becomes one pseudo-document, and any verb present in
-    all G groups has tf-idf 0 and is dropped. Survivors are ranked by in-group
-    count, ties lexicographic. With a single group nothing can be distinctive
-    by that rule, so idf degrades to ln((G + 1) / df) and every verb is kept."""
-    counts: list[tuple[str, Counter]] = []
-    for name, trees in groups.items():
-        c: Counter = Counter()
-        for tree in trees:
-            c.update(
-                node.lemma.casefold() for node in tree.nodes if node.pos == "VERB"
-            )
-        counts.append((name, c))
-    g = len(counts)
-    if g == 0:
-        return []
-    if g == 1:
-        name, c = counts[0]
-        rows = [(lemma, cnt, cnt * math.log(2.0)) for lemma, cnt in c.items()]
-        rows.sort(key=lambda r: (-r[1], r[0]))
-        return [VerbProfile(category=name, verbs=tuple(rows[:n]))]
-    scores = tfidf(counts)
+    """Per group, the verbs most distinctive of it, by TF-IDF over group
+    pseudo-documents: each group's verb lemmas are counted as one document,
+    with raw-count tf and unsmoothed idf = ln(G / df), so a verb present in
+    all G groups scores exactly 0 and is dropped. Survivors are ranked by
+    in-group count, ties lexicographic. With a single group nothing can be
+    distinctive by that rule, so idf degrades to ln((G + 1) / df) and every
+    verb is kept."""
+    counts = {
+        name: Counter(node.lemma.casefold() for tree in trees
+                      for node in tree.nodes if node.pos == "VERB")
+        for name, trees in groups.items()
+    }
+    df: Counter = Counter()
+    for c in counts.values():
+        df.update(c.keys())
+    g = len(counts) + (len(counts) == 1)
     profiles: list[VerbProfile] = []
-    for name, c in counts:
-        rows = [
-            (lemma, cnt, scores[(name, lemma)])
-            for lemma, cnt in c.items()
-            if scores[(name, lemma)] > 0.0
-        ]
-        rows.sort(key=lambda r: (-r[1], r[0]))
+    for name, c in counts.items():
+        rows = [(lemma, cnt, cnt * math.log(g / df[lemma])) for lemma, cnt in c.items()]
+        rows = sorted((r for r in rows if r[2] > 0.0), key=lambda r: (-r[1], r[0]))
         profiles.append(VerbProfile(category=name, verbs=tuple(rows[:n])))
     return profiles

@@ -584,8 +584,9 @@ def test_golden_artifact_digests(tmp_path, capsys):
     why. Two causes besides this code can move a digest, and the failure
     names the artifact and both version pairs so they can be told apart:
     numpy's Generator streams may change between releases (NEP 19), and
-    math.log in tfidf comes from the platform's libm. If a release breaks
-    the digests, record a second digest set for it; never loosen the check."""
+    math.log in distinctive_verbs comes from the platform's libm. If a
+    release breaks the digests, record a second digest set for it; never
+    loosen the check."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = golden_digests(tmp_path)
     capsys.readouterr()  # drop the subcommand summary lines

@@ -1,7 +1,6 @@
-"""Lexical statistics: group lexicons, common/distinctive words, chi-square
-collocations, and group-level TF-IDF."""
+"""Lexical statistics: group lexicons, common/distinctive words and
+chi-square collocations."""
 
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from tagtopics.lexstats import (
     chi2_2x2,
     common_words,
     distinctive_words,
-    tfidf,
 )
 from tagtopics.textprep import TokenizedDoc
 
@@ -47,17 +45,17 @@ class TestBuildLexicon:
         assert lex.category == "g"
         assert lex.unigram_counts == Counter({"a": 2, "b": 2})
         assert lex.bigram_counts == Counter({("a", "b"): 1, ("b", "a"): 1})
-        assert lex.total_tokens == 4
-        assert lex.total_bigram_positions == 2
+        assert sum(lex.unigram_counts.values()) == 4
+        assert sum(lex.bigram_counts.values()) == 2
 
     def test_bigrams_do_not_cross_documents(self):
         lex = build_lexicon([doc(1, "a"), doc(2, "b")])
         assert lex.bigram_counts == Counter()
-        assert lex.total_bigram_positions == 0
+        assert sum(lex.bigram_counts.values()) == 0
 
     def test_empty(self):
         lex = build_lexicon([])
-        assert lex.total_tokens == 0
+        assert sum(lex.unigram_counts.values()) == 0
         assert lex.unigram_counts == Counter()
 
 
@@ -160,7 +158,7 @@ class TestCollocations:
         for stat in bigram_collocations(lex, min_count=1, n=50):
             cells = [c for row in stat.observed for c in row]
             assert min(cells) >= 0
-            assert sum(cells) == lex.total_bigram_positions
+            assert sum(cells) == sum(lex.bigram_counts.values())
 
     def test_single_bigram_type_degenerates_to_zero(self):
         lex = build_lexicon([doc(1, "x", "y")])
@@ -170,48 +168,3 @@ class TestCollocations:
     def test_no_bigrams(self):
         lex = build_lexicon([doc(1, "solo")])
         assert bigram_collocations(lex, min_count=1) == []
-
-
-class TestTfidf:
-    def test_everywhere_term_annihilates(self):
-        scores = tfidf([("a", {"t": 2}), ("b", {"t": 7}), ("c", {"t": 1})])
-        assert scores[("a", "t")] == 0.0
-        assert scores[("b", "t")] == 0.0
-
-    def test_df_one_scales_with_count(self):
-        scores = tfidf([("a", {"rare": 4}), ("b", {"x": 1}), ("c", {"y": 1})])
-        assert abs(scores[("a", "rare")] - 4 * math.log(3)) <= 1e-12
-
-    def test_zero_iff_df_equals_groups(self):
-        rng = np.random.default_rng(29)
-        vocab = [f"w{i}" for i in range(12)]
-        for _ in range(50):
-            groups = []
-            for g in range(4):
-                tokens = rng.choice(vocab, size=rng.integers(1, 25))
-                groups.append((f"g{g}", Counter(tokens.tolist())))
-            df = Counter()
-            for _, c in groups:
-                df.update(c.keys())
-            scores = tfidf(groups)
-            for (name, token), value in scores.items():
-                if df[token] == len(groups):
-                    assert value == 0.0
-                else:
-                    assert value > 0.0
-
-    def test_token_iterable_input(self):
-        scores = tfidf([("a", ["x", "x", "y"]), ("b", ["y"])])
-        assert abs(scores[("a", "x")] - 2 * math.log(2)) <= 1e-12
-        assert scores[("a", "y")] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tfidf([])
-        with pytest.raises(ValueError):
-            tfidf([("a", {"x": 1}), ("a", {"y": 1})])
-
-    def test_single_group_all_zero(self):
-        # with one group every df equals G, so plain tf-idf kills everything
-        scores = tfidf([("only", {"x": 3, "y": 1})])
-        assert set(scores.values()) == {0.0}

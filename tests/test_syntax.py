@@ -3,8 +3,10 @@ extraction, and per-group distinctive verbs."""
 
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,11 @@ class TestLoadParses:
             ("non-integer", "# tweet_id = x\n1\ta\ta\tNOUN\t0\troot\n0_2\tb\tb\tNOUN\t1\tdep\n"),
             ("non-integer", "# tweet_id = x\n1\ta\ta\tNOUN\t0\troot\n2\tb\tb\tNOUN\t01\tdep\n"),
             ("non-integer", "# tweet_id = x\n\u0661\ta\ta\tNOUN\t0\troot\n"),
+            # only a comment whose key before the first "=" is tweet_id names the tree
+            ("missing tweet_id comment", "# tweet_idx = 5\n1\ta\ta\tNOUN\t0\troot\n"),
+            ("two tweet_id comments",
+             "# tweet_id = 7\n# tweet_id = 8\n1\ta\ta\tNOUN\t0\troot\n"),
+            ("empty tweet_id", "# tweet_id =\n1\ta\ta\tNOUN\t0\troot\n"),
         ]
         for reason, text in cases:
             path = tmp_path / "p.conllu"
@@ -97,6 +104,12 @@ class TestLoadParses:
                 assert load_parses(path) == [], text
             assert len(caplog.records) == 1, text
             assert reason in caplog.records[0].getMessage(), text
+
+    def test_other_keys_do_not_name_the_tree(self, tmp_path):
+        path = tmp_path / "p.conllu"
+        path.write_text("# tweet_id=7\n# tweet_ids = 8\n1\tGo\tgo\tVERB\t0\troot\n",
+                        encoding="utf-8")
+        assert [t.tweet_id for t in load_parses(path)] == ["7"]
 
     def test_multi_sentence_tweet(self, tmp_path):
         path = tmp_path / "p.conllu"
@@ -283,6 +296,32 @@ class TestDistinctiveVerbs:
         groups = {"A": [t["t04"], t["t05"], t["t01"], t["t07"]], "B": [t["t09"]]}
         by_name = {p.category: p.verbs for p in distinctive_verbs(groups, n=1)}
         assert [v[0] for v in by_name["A"]] == ["buy"]
+
+    def test_scores_are_group_tfidf(self):
+        # each group is one pseudo-document: with G >= 2 a verb scores
+        # count * ln(G / df) and is kept unless every group uses it; a single
+        # group keeps every verb at count * ln 2
+        rng = np.random.default_rng(29)
+        vocab = [f"v{i}" for i in range(12)]
+        for _ in range(50):
+            counts = {f"g{i}": Counter(rng.choice(vocab, size=rng.integers(1, 25)).tolist())
+                      for i in range(rng.integers(1, 5))}
+            groups = {name: [tree(f"{name}-{j}", (v, v, "VERB", 0, "root"))
+                             for j, v in enumerate(c.elements())]
+                      for name, c in counts.items()}
+            g = len(counts)
+            df = Counter(v for c in counts.values() for v in c)
+            profiles = distinctive_verbs(groups, n=len(vocab))
+            assert [p.category for p in profiles] == list(counts)
+            for profile in profiles:
+                c = counts[profile.category]
+                kept = {v for v in c if g == 1 or df[v] < g}
+                assert {lemma for lemma, _, _ in profile.verbs} == kept
+                assert list(profile.verbs) == sorted(profile.verbs, key=lambda r: (-r[1], r[0]))
+                for lemma, count, score in profile.verbs:
+                    assert count == c[lemma]
+                    idf = math.log(2) if g == 1 else math.log(g / df[lemma])
+                    assert abs(score - count * idf) <= 1e-12
 
     def test_empty_groups(self):
         assert distinctive_verbs({}) == []
