@@ -6,15 +6,19 @@ library under the user cache directory (`$XDG_CACHE_HOME/tagtopics`, by
 default `~/.cache/tagtopics`), named by a hash of the C source, the compiler
 flags and the platform, so it also works from a source checkout with no
 install step. When no compiler is found or the build fails, a pure-Python
-kernel over plain lists runs instead, with bit-identical results, some 50
-times slower: about 1,210 ns per token and sweep against 22-23.5 ns for the
-C kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
-timed in one session (2 cores, Python 3.11). Both run one algorithm: beside
-each count table they keep its float64 factor (count + prior), the old
-topic's weight lowers its counts inline, and counts, factors and the
-assignment are written only when a token moves. The sweep walks the
-documents by their offsets, strictly in token order, so results are
-deterministic given the generator each sweep draws its uniforms from.
+kernel over plain lists runs instead, with bit-identical results, some 60
+times slower: about 590 ns per token and sweep against 10 ns for the C
+kernel over a 2000-sweep training on acceptance criterion 1's corpus, both
+timed in one session (2 cores, Python 3.11.7, numpy 2.4.6). Both run one
+algorithm: beside each count table they keep its float64 factor (count +
+prior), the old topic's weight lowers its counts inline, and counts,
+factors and the assignment are written only when a token moves. The sweep
+walks the documents by their offsets, strictly in token order, and draws
+one uniform per token from the generator, the doubles ``rng.random(N)``
+gives: the Python backend calls that, and the C kernel calls the bit
+generator's own ``next_double`` through numpy's ``BitGenerator.ctypes``
+once per token. So results are deterministic given the generator, whatever
+its bit generator, and a sweep leaves it where ``rng.random(N)`` would.
 
 A training sweeps through one sampler over its :class:`SweepState`:
 
@@ -33,10 +37,9 @@ as the model is, and by :func:`check_weights`. The sampler copies z,
 offsets and word_of, so the indices it follows stay as checked whatever the
 caller writes, and counts its own n_dt, n_tw and n_t from the copies with
 :func:`count_tables`; no caller passes or receives a count table. Until it
-closes, it owns z, these tables and its draws, one float64 per token
-refilled from the generator each sweep. Closing, also when a sweep raised,
-drops the sweep with every table, copy and pointer it holds, and the draws,
-then writes z back; if no sweep raised, it then checks its tables.
+closes, it owns z and these tables. Closing, also when a sweep raised,
+drops the sweep with every table, copy and pointer it holds, then writes z
+back; if no sweep raised, it then checks its tables.
 """
 
 from __future__ import annotations
@@ -64,8 +67,10 @@ _SOURCE = Path(__file__).with_name("_gibbs.c")
 # no FMA contraction: a fused multiply-add rounds differently from the
 # pure-Python kernel and would break bit-identity between backends
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# the sampler's own arrays, after the state's fields in the kernel's parameters
-_OWN_ARRAYS = ("n_dt", "n_tw", "n_t", "f_dt", "f_tw", "f_t", "weights", "u")
+# the sampler's own arrays, after the state's fields in the kernel's
+# parameters, and then the generator's next_double and its state
+_OWN_ARRAYS = ("n_dt", "n_tw", "n_t", "f_dt", "f_tw", "f_t", "weights")
+_GENERATOR = ("next_double", "bitgen")
 
 
 def check_tokens(offsets, word_of, z, v: int, k: int) -> None:
@@ -252,18 +257,17 @@ def _unrolled_sweep(k: int) -> Callable[..., None]:
 
 
 class _Sampler:
-    """The one sampler class: a backend's sweep, the draws it reads (one
-    float64 per token, refilled by :func:`run_sweep`), the caller's z, and
-    its own z, offsets, word_of, n_dt, n_tw and n_t, arrays or lists. A
-    context manager whose exit is the only close: it drops the sweep, with
-    every table, copy and pointer it holds, and the draws, writes z back and,
-    if no sweep raised (one that did may have left a token uncounted),
-    raises AssertionError naming a table its recount disagrees with."""
+    """The one sampler class: a backend's sweep, which draws its uniforms
+    from the generator it is given, the caller's z, and its own z, offsets,
+    word_of, n_dt, n_tw and n_t, arrays or lists. A context manager whose
+    exit is the only close: it drops the sweep, with every table, copy and
+    pointer it holds, writes z back and, if no sweep raised (one that did
+    may have left a token uncounted), raises AssertionError naming a table
+    its recount disagrees with."""
 
-    def __init__(self, sweep: Callable[[np.ndarray], None], z: np.ndarray,
+    def __init__(self, sweep: Callable[[np.random.Generator], None], z: np.ndarray,
                  ids: tuple, tables: tuple):
-        self._sweep, self._draws = sweep, np.empty(len(z))
-        self._z, self._ids, self._tables = z, ids, tables
+        self._sweep, self._z, self._ids, self._tables = sweep, z, ids, tables
 
     def __len__(self) -> int:
         return len(self._z)
@@ -274,7 +278,7 @@ class _Sampler:
     def __exit__(self, exc_type, *exc_info) -> None:
         # the factor tables go with the sweep, before the write-back and
         # the recount build their temporary arrays
-        self._sweep = self._draws = None
+        self._sweep = None
         (z, offsets, word_of), tables = map(np.asarray, self._ids), self._tables
         self._ids = self._tables = None
         self._z[:] = z
@@ -308,21 +312,25 @@ def _python_sampler(state: SweepState) -> _Sampler:
     order, without them. The source is built from K alone, never from input
     data."""
     own, counts = _own_state(state)
+    n = len(own.z)
     values = [v.tolist() if f.metadata else float(v) for f, v in own.items()]
     tables = [t.tolist() for t in chain(counts, _factor_tables(own, counts))]
     # no tokens: nothing to sample, and k may be 0, with no sweep source
-    fn = _unrolled_sweep(len(own.prior_total)) if len(own.z) else lambda *args: None
+    fn = _unrolled_sweep(len(own.prior_total)) if n else lambda *args: None
     # the draws' list is a call argument, freed when the sweep returns
-    return _Sampler(lambda u: fn(*values, *tables, u.tolist()), state.z, values[:3], tables[:3])
+    return _Sampler(lambda rng: fn(*values, *tables, rng.random(n).tolist()),
+                    state.z, values[:3], tables[:3])
 
 
 def _compiled_sampler(fn, state: SweepState) -> _Sampler:
     """A sampler on the compiled kernel `fn` over :func:`_own_state`. It
     makes the factor tables of :func:`_factor_tables` and the kernel's
     weights buffer and takes every array pointer; a sweep passes only the
-    draws. Only the sampler holds its copies and only the kernel writes
-    them, with topics in [0, k), so the indices the kernel follows stay in
-    range without a check per sweep."""
+    generator's ``next_double`` and state, from ``rng.bit_generator.ctypes``,
+    and holds the bit generator's lock for the call, as numpy's own draws
+    do, since ctypes releases the GIL. Only the sampler holds its copies
+    and only the kernel writes them, with topics in [0, k), so the indices
+    the kernel follows stay in range without a check per sweep."""
     own, counts = _own_state(state)
     k = len(own.prior_total)
     # data_as pointers keep their arrays alive, so the sweep holds every
@@ -331,8 +339,15 @@ def _compiled_sampler(fn, state: SweepState) -> _Sampler:
         a.ctypes.data_as(ctypes.c_void_p) if f.metadata else float(a) for f, a in own.items()),
         *(a.ctypes.data_as(ctypes.c_void_p) for a in chain(
             counts, _factor_tables(own, counts), [np.empty(k, dtype=np.float64)]))]
-    return _Sampler(lambda u: fn(*head, u.ctypes.data), state.z,
-                    (own.z, own.offsets, own.word_of), counts)
+
+    def sweep(rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        interface = bit_generator.ctypes
+        with bit_generator.lock:
+            fn(*head, ctypes.cast(interface.next_double, ctypes.c_void_p),
+               interface.state_address)
+
+    return _Sampler(sweep, state.z, (own.z, own.offsets, own.word_of), counts)
 
 
 def _library_path() -> Path:
@@ -385,10 +400,11 @@ def _compiled_kernel() -> Callable[..., _Sampler] | None:
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        # n_docs and k, the state's fields, then the sampler's own arrays
+        # n_docs and k, the state's fields, the sampler's own arrays, then
+        # the generator's function pointer and state
         fn.argtypes = ([ctypes.c_int64] * 2 + [
             ctypes.c_void_p if f.metadata else ctypes.c_double for f in fields(SweepState)]
-            + [ctypes.c_void_p] * len(_OWN_ARRAYS))
+            + [ctypes.c_void_p] * (len(_OWN_ARRAYS) + len(_GENERATOR)))
         fn.restype = None
         logger.info("Gibbs sweep backend: c (%s)", path)
         return functools.partial(_compiled_sampler, fn)
@@ -423,16 +439,15 @@ def open_sampler(state: SweepState) -> _Sampler:
 
 
 def run_sweep(sampler: _Sampler, rng: np.random.Generator) -> None:
-    """One full sweep: refill the sampler's draws with one uniform per
-    token from rng (``rng.random(out=draws)``), then for each token position
-    i, in order, and its document d, remove the token from the counts,
-    weight every topic by
+    """One full sweep: for each token position i, in order, and its
+    document d, remove the token from the counts, weight every topic by
 
         (n_dt[d, t] + alpha) * (n_tw[w, t] + B[w, t]) / (n_t[t] + Bsum[t])
 
-    and reassign by inverse transform on draw i. A closed sampler raises
-    ValueError before rng is drawn from."""
+    and reassign by inverse transform on draw i, where the N draws are the
+    doubles ``rng.random(N)`` gives, and rng is left as that call leaves it,
+    on either backend. A closed sampler raises ValueError before rng is
+    drawn from."""
     if sampler._sweep is None:
         raise ValueError("sweep on a closed sampler")
-    rng.random(out=sampler._draws)
-    sampler._sweep(sampler._draws)
+    sampler._sweep(rng)

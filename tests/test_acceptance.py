@@ -6,6 +6,7 @@ These run the real implementations end to end at the stated tolerances; the
 unit suites cover the same code at finer grain.
 """
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -116,13 +118,34 @@ def topic_weights(nd, nw, nt, alpha, word_prior, prior_total):
 
 
 class FixedDraws:
-    """A generator stand-in whose random(out=) fills in the given draws."""
+    """A generator stand-in whose every sweep reads the given draws: by
+    random(n) on the Python backend, and on the C kernel by the bit
+    generator's next_double under its lock, which the sampler takes once per
+    sweep. A sweep that reads other than all of them fails."""
 
     def __init__(self, draws):
-        self.draws = draws
+        self.draws, self.read = draws, 0
+        next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(self._next_double)
+        self.bit_generator = SimpleNamespace(lock=self, ctypes=SimpleNamespace(
+            next_double=next_double, state_address=None))
 
-    def random(self, *, out):
-        out[:] = self.draws
+    def random(self, n):
+        assert n == len(self.draws), f"a sweep drew {n} uniforms, not {len(self.draws)}"
+        return self.draws.copy()
+
+    def _next_double(self, _state):
+        # a ctypes callback cannot raise into the kernel: a read past the
+        # end is counted and checked when the lock is released
+        self.read += 1
+        return float(self.draws[self.read - 1]) if self.read <= len(self.draws) else 0.5
+
+    def __enter__(self):
+        self.read = 0
+
+    def __exit__(self, exc_type, *exc_info):
+        if exc_type is None:
+            assert self.read == len(self.draws), (
+                f"a sweep read {self.read} of its {len(self.draws)} draws")
 
 
 def test_criterion_02_gibbs_conditionals():

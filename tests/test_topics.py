@@ -11,8 +11,9 @@ import shutil
 import tracemalloc
 import weakref
 from dataclasses import astuple, fields, replace
-from itertools import pairwise
+from itertools import pairwise, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from tagtopics.topics import (
 )
 
 DATA = Path(__file__).parent / "data"
+# numpy's BitGenerator.ctypes.next_double: a uniform in [0, 1) from the state
+NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 
 
 def doc(i, *tokens):
@@ -229,14 +232,35 @@ def replay_sweep(state, u):
 
 
 class Draws:
-    """A generator stand-in: each random(out=) copies in the next of the
-    given draws, so a test chooses every uniform a sweep reads."""
+    """A generator stand-in that hands each sweep the next of the given
+    draws, so a test chooses every uniform a sweep reads: the Python
+    backend takes them by random(n), the C kernel one call at a time of the
+    bit generator's next_double, under its lock, which the sampler takes
+    once per sweep. A sweep that reads other than all N draws fails."""
 
     def __init__(self, draws):
-        self._draws = iter(draws)
+        self._draws, self._sweep, self._read = iter(draws), [], 0
+        self.bit_generator = SimpleNamespace(lock=self, ctypes=SimpleNamespace(
+            next_double=NEXT_DOUBLE(self._next_double), state_address=None))
 
-    def random(self, *, out):
-        out[:] = next(self._draws)
+    def random(self, n):
+        draws = np.array(next(self._draws), dtype=np.float64)
+        assert n == len(draws), f"a sweep drew {n} uniforms, not {len(draws)}"
+        return draws
+
+    def _next_double(self, _state):
+        # a ctypes callback cannot raise into the kernel: a read past the
+        # end is counted and checked when the lock is released
+        self._read += 1
+        return float(self._sweep[self._read - 1]) if self._read <= len(self._sweep) else 0.5
+
+    def __enter__(self):
+        self._sweep, self._read = next(self._draws), 0
+
+    def __exit__(self, exc_type, *exc_info):
+        if exc_type is None:
+            assert self._read == len(self._sweep), (
+                f"a sweep read {self._read} of its {len(self._sweep)} draws")
 
 
 def sweep_through(factory, state, draws):
@@ -298,22 +322,34 @@ class TestKernel:
 
     @pytest.mark.parametrize("sweeps", [1, 4])
     def test_sweeps_draw_one_uniform_per_token_from_the_generator(self, sweeps):
-        # run_sweep fills the draws with one rng.random(N) per sweep: k
-        # sweeps from a generator equal k replayed sweeps on a clone's
-        # random(N), and leave the two generators in the same state
+        # a sweep reads the doubles one rng.random(N) gives, on every backend
+        # and for every bit generator: k sweeps from a generator equal k
+        # replayed sweeps on a clone's random(N), and leave the two
+        # generators in the same state; shapes with one token, with empty
+        # documents first, in the middle and last, and with 400 tokens
         rng = np.random.default_rng(31)
-        for name, factory in (("open_sampler", _gibbs.open_sampler),
-                              *_gibbs.backends().items()):
-            state = self.setup_state(rng, d_count=30, v=50, n=400)
-            got, replay = copied(state), copied(state)
-            drawn, clone = np.random.default_rng(41), np.random.default_rng(41)
-            with factory(got) as sampler:
+        shapes = ({"d_count": 1, "v": 3, "n": 1},
+                  {"v": 9, "lengths": [0, 0, 5, 0, 1, 7, 0, 0, 3, 0]},
+                  {"d_count": 30, "v": 50, "n": 400})
+        factories = {"open_sampler": _gibbs.open_sampler, **_gibbs.backends()}
+        for bit_generator in (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                              np.random.Philox, np.random.SFC64):
+            for seed, shape in zip((41, 42, 43), shapes):
+                state = self.setup_state(rng, **shape)
+                replay = copied(state)
+                clone = np.random.Generator(bit_generator(seed))
                 for _ in range(sweeps):
-                    run_sweep(sampler, drawn)
-            for _ in range(sweeps):
-                replay_sweep(replay, clone.random(len(state.z)))
-            assert_fields_equal(got, replay, WRITTEN, name)
-            assert drawn.bit_generator.state == clone.bit_generator.state, name
+                    replay_sweep(replay, clone.random(len(state.z)))
+                for name, factory in factories.items():
+                    label = f"{name} on {bit_generator.__name__}({seed})"
+                    got, drawn = copied(state), np.random.Generator(bit_generator(seed))
+                    with factory(got) as sampler:
+                        for _ in range(sweeps):
+                            run_sweep(sampler, drawn)
+                    assert_fields_equal(got, replay, WRITTEN, label)
+                    # MT19937 and Philox states hold arrays
+                    np.testing.assert_equal(drawn.bit_generator.state,
+                                            clone.bit_generator.state, err_msg=label)
 
     def test_backends_agree_on_a_settled_chain(self):
         # 200 sweeps through one sampler per backend on planted topics: each
@@ -351,13 +387,17 @@ class TestKernel:
             assert_fields_equal(got_state, replay, WRITTEN, name)
 
     def test_draws_on_a_weight_boundary_agree(self):
-        # r = u * total placed exactly on, and just below, each running sum
-        # of the first token's weights: a kernel whose sums differ from the
-        # replay's by one ulp picks another topic there
+        # r = u * total placed on, and one step of u below, each running sum
+        # of the first token's weights, with its old topic t first, in the
+        # middle and last: a kernel whose sums differ from the replay's by
+        # one ulp picks another topic there, and one whose test of t's own
+        # bracket, weights[t - 1] <= r < weights[t], is off at either edge
+        # keeps or moves the token wrongly
         rng = np.random.default_rng(11)
         kernels = _gibbs.backends()
-        for _ in range(4):
+        for _, old in product(range(4), (0, 3, 7)):
             state = self.setup_state(rng, k=8)
+            state.z[0] = old
             s = copied(state)
             (n_dt, n_tw, n_t), prior, prior_total = counted(s), s.word_prior, s.prior_total
             d, w, t = token_docs(s.offsets)[0], s.word_of[0], s.z[0]
@@ -369,13 +409,15 @@ class TestKernel:
                 acc += ((n_dt[d, tt] + 0.01) * (n_tw[w, tt] + prior[w, tt])
                         / (n_t[tt] + prior_total[tt]))
                 sums.append(acc)
-            for target in sums[:-1]:
-                draw = target / acc
-                for _ in range(4):  # step u until its product lands on the sum
-                    if draw * acc == target:
-                        break
-                    draw = np.nextafter(draw, np.inf if draw * acc < target else -np.inf)
-                for first in (draw, np.nextafter(draw, -np.inf)):
+            for target in sums:
+                # the largest u whose r lies below the sum, and the next u,
+                # whose r lies on it or, where no u lands r there, just above
+                below = target / acc
+                while below * acc >= target:
+                    below = np.nextafter(below, -np.inf)
+                while np.nextafter(below, np.inf) * acc < target:
+                    below = np.nextafter(below, np.inf)
+                for first in (np.nextafter(below, np.inf), below):
                     u = rng.random(len(state.z))
                     u[0] = first
                     replay = copied(state)
@@ -502,18 +544,21 @@ class TestKernel:
 
     def test_kernel_parameters_follow_the_state_fields(self):
         # the C kernel takes its inputs by position: n_docs and k, then the
-        # SweepState fields in order, then the sampler's own arrays, and the
-        # compiled backend passes one argument of the C type per parameter
+        # SweepState fields in order, then the sampler's own arrays, then the
+        # generator's next_double, a pointer of the function type, and its
+        # state; the compiled backend passes one argument of the C type per
+        # parameter
         source = _gibbs._SOURCE.read_text(encoding="utf-8")
         params = [" ".join(p.split()) for p in re.search(
             r"void tagtopics_sweep\(([^)]*)\)", source).group(1).split(",")]
         names = [re.search(r"\w+$", p).group() for p in params]
         state_names = [f.name for f in fields(SweepState)]
-        assert names == ["n_docs", "k", *state_names, *_gibbs._OWN_ARRAYS]
+        assert names == ["n_docs", "k", *state_names, *_gibbs._OWN_ARRAYS, *_gibbs._GENERATOR]
+        assert re.search(r"typedef double \(\*next_double_fn\)\(void \*\w*\);", source)
         compiled = _gibbs.backends().get("c")
         if compiled is not None:
-            want = [ctypes.c_void_p if "*" in p else ctypes.c_double if "double" in p
-                    else ctypes.c_int64 for p in params]
+            want = [ctypes.c_void_p if "*" in p or p.startswith("next_double_fn ")
+                    else ctypes.c_double if "double" in p else ctypes.c_int64 for p in params]
             assert list(compiled.args[0].argtypes) == want
 
     def test_bad_arrays_rejected_before_counts_change(self):
@@ -629,10 +674,10 @@ class TestKernel:
             np.testing.assert_array_equal(got, getattr(replay, name))
 
     def test_compiled_sampler_frees_its_tables_on_close(self):
-        # the count and factor tables, 16 bytes per count, and the draws and
-        # the copies of z and word_of, 16 bytes per token, and of offsets, 8
-        # bytes per document and one more, live while the sampler is open;
-        # closing drops them all, once its count check is done
+        # the count and factor tables, 16 bytes per count, and the copies of
+        # z and word_of, 8 bytes per token, and of offsets, 8 bytes per
+        # document and one more, live while the sampler is open; closing
+        # drops them all, once its count check is done
         factory = _gibbs.backends().get("c")
         if factory is None:
             pytest.skip("no C compiler: the C kernel was not built")
@@ -640,7 +685,7 @@ class TestKernel:
         state = self.setup_state(rng, d_count=400, v=3000, k=8, n=40000)
         u = rng.random(len(state.z))
         table_bytes = 16 * sum(table.size for table in counted(state))
-        copy_bytes = 16 * len(u) + 8 * len(state.offsets)
+        copy_bytes = 8 * len(u) + 8 * len(state.offsets)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
